@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-fusion-hooks bench-all bench-smoke vaxd-smoke experiments clean
+.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-all bench-smoke vaxd-smoke experiments clean
 
 all: fmt-check vet lint build test
 
@@ -83,59 +83,6 @@ bench-obs:
 	sed 's|^BenchmarkObs/on|BenchmarkObs/off|' /tmp/obs_on.txt \
 		| $(GO) run ./cmd/vaxbench -history /tmp/obs_attached.json -label attached; \
 	$(GO) run ./cmd/vaxbench -compare -threshold 25 /tmp/obs_detached.json /tmp/obs_attached.json
-
-# The fusion-speedup gate: BenchmarkFusion prices the no-hook hot loop
-# fused (the default) and interpreted (NoFusion) over one shared
-# generated trace. The two variants alternate at process granularity,
-# order swapped halfway — the interleaved A/B method recorded in
-# BENCH_fusion.json — then reduce to pooled medians and adjudicate via
-# vaxbench -compare: the superword engine must never be slower than
-# the interpreter it replaces. Twelve pooled-median samples a side and
-# a 3%% threshold keep shared-runner noise (one 100ms CPU-steal burst
-# inflates a whole process sample) from tripping the gate; the
-# authoritative base-vs-head adjudication lives in BENCH_fusion.json.
-bench-fusion:
-	@set -e; \
-	$(GO) test -c -o /tmp/vax_fusion.test .; \
-	: > /tmp/fusion_on.txt; : > /tmp/fusion_off.txt; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^on$$' -test.benchtime 10x >> /tmp/fusion_on.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^off$$' -test.benchtime 10x >> /tmp/fusion_off.txt; \
-	done; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^off$$' -test.benchtime 10x >> /tmp/fusion_off.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^on$$' -test.benchtime 10x >> /tmp/fusion_on.txt; \
-	done; \
-	rm -f /tmp/fusion_interp.json /tmp/fusion_fused.json; \
-	sed 's|^BenchmarkFusion/off|BenchmarkFusion/on|' /tmp/fusion_off.txt \
-		| $(GO) run ./cmd/vaxbench -history /tmp/fusion_interp.json -label interpreted; \
-	$(GO) run ./cmd/vaxbench -history /tmp/fusion_fused.json -label fused < /tmp/fusion_on.txt; \
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 /tmp/fusion_interp.json /tmp/fusion_fused.json
-
-# The hooks-cell fusion gate: the same interleaved A/B as bench-fusion
-# but with the full telemetry layer attached (interval recorder, Chrome
-# tracer, flight recorder) — the cell that interpreted 100%% of its
-# cycles before the effect-summary engine proved superword replay legal
-# under hooks. The adjudication is the same no-regression tripwire:
-# fusing under telemetry must never be slower than interpreting under
-# telemetry; the recorded speedup lives in BENCH_fusion.json.
-bench-fusion-hooks:
-	@set -e; \
-	$(GO) test -c -o /tmp/vax_fusion.test .; \
-	: > /tmp/fusionh_on.txt; : > /tmp/fusionh_off.txt; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^on$$' -test.benchtime 10x >> /tmp/fusionh_on.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^off$$' -test.benchtime 10x >> /tmp/fusionh_off.txt; \
-	done; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^off$$' -test.benchtime 10x >> /tmp/fusionh_off.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^on$$' -test.benchtime 10x >> /tmp/fusionh_on.txt; \
-	done; \
-	rm -f /tmp/fusionh_interp.json /tmp/fusionh_fused.json; \
-	sed 's|^BenchmarkFusionHooks/off|BenchmarkFusionHooks/on|' /tmp/fusionh_off.txt \
-		| $(GO) run ./cmd/vaxbench -history /tmp/fusionh_interp.json -label interpreted-hooks; \
-	$(GO) run ./cmd/vaxbench -history /tmp/fusionh_fused.json -label fused-hooks < /tmp/fusionh_on.txt; \
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 /tmp/fusionh_interp.json /tmp/fusionh_fused.json
 
 # The service cache-hit gate; compare against BENCH_vaxd.json (a
 # regression past the generous threshold means resubmissions started

@@ -82,6 +82,15 @@ func main() {
 }
 
 func run(addr, data string, depth, workers int, rate, burst float64) error {
+	// The signal handler goes in before anything can report ready: a
+	// SIGTERM that arrives right after the first /healthz 200 must drain,
+	// not kill the process with the default action. One arriving during
+	// journal replay waits in the channel and drains as soon as the
+	// manager exists.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
+
 	// Listener first: the socket answers immediately, with /healthz
 	// reporting 503 "starting" until journal replay finishes, so
 	// orchestrators can distinguish "booting" from "dead".
@@ -120,8 +129,6 @@ func run(addr, data string, depth, workers int, rate, burst float64) error {
 	h.setManager(mgr)
 	log.Printf("vaxd: ready")
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-done:
 		mgr.Close()

@@ -446,9 +446,21 @@ func traceKinds(t *testing.T, rows []byte) map[string]int {
 	return kinds
 }
 
-// startVaxd launches a built vaxd binary and returns its base URL plus
-// a channel that yields the exit error when the process ends.
+// startVaxd launches a built vaxd binary, waits for readiness, and
+// returns its base URL plus a channel that yields the exit error when
+// the process ends.
 func startVaxd(t *testing.T, bin, data string) (*exec.Cmd, string, chan error) {
+	t.Helper()
+	cmd, url, waitCh := launchVaxd(t, bin, data)
+	// The socket answers before recovery finishes; wait for readiness
+	// so tests can submit immediately.
+	awaitHealthz(t, url, true)
+	return cmd, url, waitCh
+}
+
+// launchVaxd launches a built vaxd binary and returns as soon as it has
+// reported its listen address, before readiness.
+func launchVaxd(t *testing.T, bin, data string) (*exec.Cmd, string, chan error) {
 	t.Helper()
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", data)
 	stderr, err := cmd.StderrPipe()
@@ -476,29 +488,32 @@ func startVaxd(t *testing.T, bin, data string) (*exec.Cmd, string, chan error) {
 
 	select {
 	case addr := <-addrCh:
-		url := "http://" + addr
-		// The socket answers before recovery finishes; wait for
-		// readiness so tests can submit immediately.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			resp, err := http.Get(url + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return cmd, url, waitCh
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("vaxd never became ready")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		return cmd, "http://" + addr, waitCh
 	case err := <-waitCh:
 		t.Fatalf("vaxd exited before listening: %v", err)
 	case <-time.After(30 * time.Second):
 		t.Fatal("vaxd never reported its listen address")
 	}
 	panic("unreachable")
+}
+
+// awaitHealthz polls /healthz without pausing until it answers at all
+// (ready false: 503 "starting" counts) or answers 200 (ready true).
+func awaitHealthz(t *testing.T, url string, ready bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(url + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if !ready || resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("vaxd never became ready")
+		}
+	}
 }
 
 // TestVaxdSIGTERMDrainRestart is the full crash-tolerance contract,
@@ -516,6 +531,43 @@ func TestVaxdSIGTERMDrainRestart(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building vaxd: %v\n%s", err, out)
 	}
+	// A SIGTERM at any point after vaxd reports its listen address must
+	// drain and exit 0 — in particular right after the first /healthz
+	// 200 — because the handler is installed before the socket listens.
+	// Each moment is tried on fresh instances: as soon as the address
+	// is logged, at the first /healthz answer (503 "starting" or 200),
+	// and right after the first 200.
+	moments := []string{"listening", "first answer", "first 200"}
+	for i := 0; i < 2*len(moments); i++ {
+		moment := moments[i%len(moments)]
+		fresh := filepath.Join(t.TempDir(), "data")
+		cmd, url, wait := launchVaxd(t, bin, fresh)
+		switch moment {
+		case "first answer":
+			awaitHealthz(t, url, false)
+		case "first 200":
+			awaitHealthz(t, url, true)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-wait:
+			if err != nil {
+				t.Fatalf("SIGTERM at %s: vaxd exited %v, want 0 after draining", moment, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("SIGTERM at %s: vaxd did not exit", moment)
+		}
+		journal, err := os.ReadFile(filepath.Join(fresh, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(journal, []byte(`"drain"`)) {
+			t.Fatalf("SIGTERM at %s: journal has no drain record:\n%s", moment, journal)
+		}
+	}
+
 	data := filepath.Join(t.TempDir(), "data")
 
 	// Life 1: submit a three-workload job and SIGTERM once the first

@@ -428,8 +428,7 @@ func writeHotFlowSection(w func(string, ...interface{}), res *vax780.Results) {
 	w("The flow-level reduction of the composite histogram (exact")
 	w("profiler engine, unpriced): each microflow's share of all")
 	w("simulated cycles, with its split over the Table 8 cycle classes.")
-	w("Price these flows in host ns/cycle — and get the JIT targeting")
-	w("list ranked by host cost × fusibility — with `go run ./cmd/vaxprof`.")
+	w("Price these flows in host ns/cycle with `go run ./cmd/vaxprof`.")
 	w("")
 	w("| # | Flow | Entry | Cycles | Share | Compute | Read | RStall | Write | WStall | IBStall |")
 	w("|---|---|---|---|---|---|---|---|---|---|---|")

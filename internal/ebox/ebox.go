@@ -15,7 +15,6 @@ import (
 	"vax780/internal/ibox"
 	"vax780/internal/mem"
 	"vax780/internal/ucode"
-	"vax780/internal/ufuse"
 	"vax780/internal/upc"
 	"vax780/internal/urom"
 	"vax780/internal/vax"
@@ -36,20 +35,6 @@ type Probe interface {
 	Cycle(now uint64, addr uint16, stalled bool)
 	// TBMiss observes a D-stream translation-buffer microtrap.
 	TBMiss(now uint64, istream bool, va uint32)
-}
-
-// BulkProbe is the optional bulk extension of Probe, implemented by the
-// telemetry layer. Quiet reports how many of the next n cycles are
-// observation-free (no interval boundary, no pending board command);
-// CycleRun applies that many un-stalled cycles in one call, bit-exact
-// with n individual Cycle calls over a span Quiet approved. The
-// superword replay path uses it to amortize the per-cycle hook cost
-// while routing every observable event — an interval roll, a board
-// command — through the ordinary per-cycle path at its exact cycle.
-type BulkProbe interface {
-	Probe
-	Quiet(now uint64, n int) int
-	CycleRun(now uint64, addr uint16, n int)
 }
 
 // InstrCtx carries everything data-dependent about one instruction (or
@@ -107,19 +92,6 @@ type EBOX struct {
 	// every stride-th cycle lands in a sampled histogram. Concrete type,
 	// same disabled cost as FR — one pointer test per cycle.
 	Samp *upc.Sampler
-
-	// Fuse, when non-nil, is the compiled superword table
-	// (internal/ufuse): straight-line runs the control store proves
-	// pure execute as one dispatch each. The measurement hooks no
-	// longer deopt: a superword replays its statically-proven per-cycle
-	// effect stream into the flight recorder and sampler in bulk, and —
-	// when a telemetry Probe is attached — interleaves the hooks cycle
-	// by cycle in exactly tick's order, so a probe that snapshots or
-	// reconfigures the board mid-superword observes the same machine an
-	// interpreted run would. Only a fault plan (CheckFaults) or a
-	// Monitor that is not the devirtualized histogram board forces
-	// single-step interpretation (run checks once per flow entry).
-	Fuse *ufuse.Plan
 
 	// Now is the cycle counter (200 ns units).
 	Now uint64
@@ -250,61 +222,12 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 
 // run is the microsequencer main loop: execute from entry until an
 // end-of-instruction microinstruction completes.
-//
-// With a fusion plan attached, a straight-line run the control store
-// proves pure executes as one superword: the run's statically-proven
-// per-cycle effect stream — histogram increments, I-Fetch advances,
-// flight-recorder entries, sampler hits, telemetry cycles — is replayed
-// by fusedReplay, the cycle counter jumps by the run length, and the
-// run's final word goes through the ordinary sequencer — the proven
-// deopt point for branches, dispatches, loop back-edges, and I-stream
-// redirects. When the final word is a SeqURet whose return site roots
-// another superword, the inner loop chains straight into it without
-// re-entering the interpreter: the analyzer's return-site fusion pass
-// proves every site such a return can land on is a legal superword head
-// or single-step entry. Memory words, IB-stall waits, and loop-counter
-// loads are never inside a superword, so the data-dependent paths below
-// are reached exactly as the interpreter reaches them.
 func (e *EBOX) run(entry uint16) error {
 	e.upc = entry
-	fuse := e.Fuse
-	if fuse != nil && (e.upcMon == nil || e.CheckFaults) {
-		// A fault plan needs the interpreter's per-reference poll points,
-		// and a non-board Monitor cannot take the bulk count vector:
-		// both force single-step interpretation.
-		fuse = nil
-	}
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
 			return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
 		}
-
-		if fuse != nil {
-			// Chained superword loop: each iteration executes one
-			// superword and sequences its final word; when the successor
-			// (a jump target or a uret return site) roots another
-			// superword, the chain continues without touching the
-			// outer-loop dispatch. Fast() is re-checked per superword —
-			// and per cycle inside fusedReplay when a probe is attached —
-			// because a probe command can stop the board mid-run.
-			for n := fuse.Len(e.upc); n != 0 && e.upcMon.Fast(); n = fuse.Len(e.upc) {
-				if steps++; steps > 1_000_000 {
-					return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
-				}
-				e.fusedReplay(n)
-				e.upc += uint16(n - 1)
-				mi := e.ROM.Image.At(e.upc)
-				next, done, err := e.seq(mi)
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				e.upc = next
-			}
-		}
-
 		mi := e.ROM.Image.At(e.upc)
 
 		if mi.Loop != ucode.LoopNone {
@@ -331,107 +254,6 @@ func (e *EBOX) run(entry uint16) error {
 			return nil
 		}
 		e.upc = next
-	}
-}
-
-// fusedReplay replays one superword's proven per-cycle effect stream:
-// n consecutive un-stalled cycles at e.upc, e.upc+1, …, with one
-// normal-set histogram increment, one flight-recorder entry, one
-// sampler countdown, and one free-port I-Fetch advance each — exactly
-// what n calls of tick(addr, false, false) would perform, which is what
-// the analyzer's effect-summary pass proves of every fusible segment.
-//
-// With a telemetry probe attached the hooks are interleaved cycle by
-// cycle in tick's exact call order: Probe.Cycle can snapshot the
-// histogram (interval roll) or apply a board command (stop, clear)
-// between any two cycles, so the monitor tick must precede the probe
-// and Fast() must be re-tested every cycle. Without a probe nothing can
-// mutate observer state mid-superword, so the bulk variants — proven
-// bit-exact against their single-step loops — apply the whole stream at
-// once.
-func (e *EBOX) fusedReplay(n int) {
-	if e.Probe != nil {
-		if bp, ok := e.Probe.(BulkProbe); ok {
-			e.fusedReplayBulk(bp, n)
-			return
-		}
-		addr := e.upc
-		for i := 0; i < n; i++ {
-			if mon := e.upcMon; mon.Fast() {
-				mon.TickFast(addr, false)
-			} else {
-				mon.Tick(addr, false)
-			}
-			e.Probe.Cycle(e.Now, addr, false)
-			if e.FR != nil {
-				e.FR.Record(e.Now, addr, false)
-			}
-			if e.Samp != nil {
-				e.Samp.Sample(addr, false)
-			}
-			e.IB.Tick(e.Now, true)
-			e.Now++
-			addr++
-		}
-		return
-	}
-	e.upcMon.TickRun(e.upc, n)
-	if e.FR != nil {
-		e.FR.RecordRun(e.Now, e.upc, n)
-	}
-	if e.Samp != nil {
-		e.Samp.SampleRun(e.upc, n)
-	}
-	e.IB.TickRun(e.Now, n)
-	e.Now += uint64(n)
-}
-
-// fusedReplayBulk replays a superword under a bulk-capable probe:
-// observation-free spans apply in one call per hook, and any cycle that
-// can observe the machine — an interval roll, a pending board command,
-// or a stopped board — goes through the exact per-cycle sequence tick
-// performs, monitor first (so a roll inside Probe.Cycle snapshots a
-// histogram that already counts the boundary cycle, as the interpreted
-// run's would). Fast is re-tested per chunk because a board command
-// applied at a boundary can stop or clear the board mid-superword.
-func (e *EBOX) fusedReplayBulk(p BulkProbe, n int) {
-	addr := e.upc
-	for n > 0 {
-		k := 0
-		if e.upcMon.Fast() {
-			k = p.Quiet(e.Now, n)
-		}
-		if k <= 0 {
-			if mon := e.upcMon; mon.Fast() {
-				mon.TickFast(addr, false)
-			} else {
-				mon.Tick(addr, false)
-			}
-			p.Cycle(e.Now, addr, false)
-			if e.FR != nil {
-				e.FR.Record(e.Now, addr, false)
-			}
-			if e.Samp != nil {
-				e.Samp.Sample(addr, false)
-			}
-			e.IB.Tick(e.Now, true)
-			e.Now++
-			addr++
-			n--
-			continue
-		}
-		e.upcMon.TickRun(addr, k)
-		p.CycleRun(e.Now, addr, k)
-		if e.FR != nil {
-			e.FR.RecordRun(e.Now, addr, k)
-		}
-		if e.Samp != nil {
-			e.Samp.SampleRun(addr, k)
-		}
-		e.IB.TickRun(e.Now, k)
-		e.Now += uint64(k)
-		addr += uint16(k)
-		n -= k
 	}
 }
 

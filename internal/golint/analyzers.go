@@ -19,16 +19,11 @@ type HotTarget struct {
 // DefaultHotTargets is the repository's per-cycle path.
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
-	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "fusedReplay"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
-	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "TickRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
-	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
-	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "RecordRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
-	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "SampleRun"},
 }
 
 // HotPathAnalyzer flags heap allocations, defers, goroutine launches and

@@ -6,6 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -272,5 +275,37 @@ func TestListPackagesFindsKnown(t *testing.T) {
 		if !has(want) {
 			t.Errorf("ListPackages missing %s in %v", want, paths)
 		}
+	}
+}
+
+// TestListPackagesSkipsNestedModules: a subdirectory with its own
+// go.mod is another module and is not listed, nor is anything below it,
+// even when its name would otherwise be walked.
+func TestListPackagesSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, body string) {
+		t.Helper()
+		p := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module example.com/m\n")
+	write("m.go", "package m\n")
+	write("inner/inner.go", "package inner\n")
+	write("bench/go.mod", "module example.com/bench\n")
+	write("bench/main.go", "package main\n")
+	write("bench/sub/sub.go", "package sub\n")
+
+	paths, err := ListPackages(root, "example.com/m")
+	if err != nil {
+		t.Fatalf("ListPackages: %v", err)
+	}
+	want := []string{"example.com/m", "example.com/m/inner"}
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("ListPackages = %v, want %v", paths, want)
 	}
 }

@@ -44,6 +44,8 @@ func ModuleRoot(dir string) (root, modPath string, err error) {
 
 // ListPackages enumerates every package directory of the module that
 // holds non-test Go files, as import paths (the ./... of the driver).
+// Like the go command, it stops at nested modules: a subdirectory with
+// its own go.mod belongs to that module, not this one.
 func ListPackages(root, modPath string) ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -60,6 +62,9 @@ func ListPackages(root, modPath string) ([]string, error) {
 		ents, err := os.ReadDir(path)
 		if err != nil {
 			return err
+		}
+		if path != root && hasGoMod(ents) {
+			return filepath.SkipDir
 		}
 		for _, e := range ents {
 			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
@@ -82,6 +87,16 @@ func ListPackages(root, modPath string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
+}
+
+// hasGoMod reports whether a directory listing contains a go.mod file.
+func hasGoMod(ents []os.DirEntry) bool {
+	for _, e := range ents {
+		if !e.IsDir() && e.Name() == "go.mod" {
+			return true
+		}
+	}
+	return false
 }
 
 // LoadPackages parses and type-checks the given import paths of the

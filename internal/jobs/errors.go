@@ -9,6 +9,8 @@ package jobs
 import (
 	"errors"
 	"net/http"
+
+	"vax780"
 )
 
 var (
@@ -52,6 +54,7 @@ var httpStatus = []struct {
 	{ErrDeadlineExceeded, http.StatusGatewayTimeout},
 	{ErrDraining, http.StatusServiceUnavailable},
 	{ErrBadSpec, http.StatusBadRequest},
+	{vax780.ErrBadConfig, http.StatusBadRequest},
 	{ErrUnknownJob, http.StatusNotFound},
 }
 

@@ -205,11 +205,22 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("%w: negative parallelism", ErrBadSpec)
 	}
 	if s.IsSweep() {
-		_, err := s.sweepPoints()
+		pts, err := s.sweepPoints()
+		if err != nil {
+			return err
+		}
+		for _, p := range pts {
+			if err := p.Config.Validate(); err != nil {
+				return fmt.Errorf("point %q: %w", p.Label, err)
+			}
+		}
+		return nil
+	}
+	cfg, err := s.runConfig()
+	if err != nil {
 		return err
 	}
-	_, err := s.runConfig()
-	return err
+	return cfg.Validate()
 }
 
 // Key returns the spec's content address: a 16-hex-digit rendering of

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"vax780"
 )
 
 func mustKey(t *testing.T, s Spec) string {
@@ -106,6 +108,26 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateHardware: a spec or sweep point naming a machine the
+// simulator cannot build is rejected at admission with the run layer's
+// ErrBadConfig, which vaxd serves as 400.
+func TestSpecValidateHardware(t *testing.T) {
+	for _, spec := range []Spec{
+		{MissLatency: -5},
+		{CacheBytes: 3},
+		{Points: []Point{{Label: "ok"}, {Label: "3-way", CacheWays: 3}}},
+		{Points: []Point{{Label: "7-entry TB", TBEntries: 7}}},
+	} {
+		err := spec.Validate()
+		if !errors.Is(err, vax780.ErrBadConfig) {
+			t.Errorf("%+v: Validate = %v, want ErrBadConfig", spec, err)
+		}
+		if got := HTTPStatus(err); got != http.StatusBadRequest {
+			t.Errorf("%+v: HTTPStatus = %d, want 400", spec, got)
+		}
+	}
+}
+
 func TestHTTPStatusTable(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -121,6 +143,7 @@ func TestHTTPStatusTable(t *testing.T) {
 		// Wrapped sentinels map the same way: the table is errors.Is-based.
 		{fmt.Errorf("%w (depth 16)", ErrQueueFull), http.StatusTooManyRequests},
 		{fmt.Errorf("%w: no such workload", ErrBadSpec), http.StatusBadRequest},
+		{fmt.Errorf("point %q: %w", "3-way", vax780.ErrBadConfig), http.StatusBadRequest},
 		{errors.New("unclassified"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -472,3 +472,49 @@ func TestContextSwitchInsideInterruptBanksSP(t *testing.T) {
 		t.Errorf("process 1 SP banked as %#x,%v; want %#x", banked, ok, oldSP)
 	}
 }
+
+// TestObserversSeeEveryCycle: the flight recorder and a stride-1
+// sampler attached to the EBOX observe every cycle the machine runs,
+// contiguously, and the sampled histogram equals the board's. The trace
+// mixes straight-line ALU flows, memory references (stalls) and NOPs.
+func TestObserversSeeEveryCycle(t *testing.T) {
+	var ins []*vax.Instr
+	for i := 0; i < 40; i++ {
+		ins = append(ins,
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{litSpec(int32(i % 60)), regSpec(1)}},
+			&vax.Instr{Op: vax.ADDL2, Specs: []vax.Specifier{litSpec(1), regSpec(2)}},
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{
+				memSpec(vax.ModeLongDisp, 3, 0x40, 0x9000+uint32(i)*4), regSpec(4)}},
+			&vax.Instr{Op: vax.NOP},
+		)
+	}
+	tr := layout(t, 0x1000, ins)
+	mon := upc.New()
+	mon.Start()
+	fr := upc.NewFlightRecorder(1 << 16)
+	samp := upc.NewSampler(1)
+	m := New(Config{Mem: mem.Config{}, Monitor: mon, Strict: true, Flight: fr, Sampler: samp}, tr.Program)
+	if err := m.Run(tr.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	mon.Stop()
+
+	if fr.Recorded() != m.E.Now {
+		t.Fatalf("flight recorder saw %d cycles of %d", fr.Recorded(), m.E.Now)
+	}
+	entries := fr.Snapshot()
+	if uint64(len(entries)) != m.E.Now {
+		t.Fatalf("flight snapshot holds %d entries, want %d", len(entries), m.E.Now)
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Cycle != entries[i-1].Cycle+1 {
+			t.Fatalf("recorded cycles not contiguous at entry %d", i)
+		}
+	}
+	if samp.Taken() != m.E.Now {
+		t.Fatalf("stride-1 sampler took %d samples of %d cycles", samp.Taken(), m.E.Now)
+	}
+	if *samp.Snapshot() != *mon.Snapshot() {
+		t.Error("stride-1 sampled histogram differs from the board's")
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"vax780/internal/ucode"
-	"vax780/internal/ufuse"
-	"vax780/internal/urom"
 )
 
 // FuzzCFGBuild drives the CFG builder and every graph pass over
@@ -15,12 +13,8 @@ import (
 //
 //  1. Analyze never panics — a corrupt image produces findings, not a
 //     crash (vaxlint runs on stores that are broken by definition);
-//  2. cross-checker agreement — every segment the analyzer still calls
-//     fusible must pass ufuse's independent word-by-word legality proof
-//     (Compile), and the compiled plan must pass Audit against the same
-//     set. The analyzer and the fusion engine prove fusibility from the
-//     same rules through different code; the fuzzer hunts for an input
-//     where they disagree.
+//  2. the flow walk behind the flow index (entries and word sets) never
+//     panics either, even on stores the CFG builder refuses.
 func FuzzCFGBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -67,39 +61,12 @@ func FuzzCFGBuild(f *testing.F) {
 		rep := Analyze(img, roots)
 		_ = rep.Summary()
 
-		// Property 2: the analyzer's fusible segments must pass the
-		// fusion engine's independent proof. The flow walk does not need
-		// the CFG, so it runs even on structurally broken stores.
+		// Property 2: the flow walk behind the flow index does not need
+		// the CFG, so it runs even on structurally broken stores — and
+		// must not panic there either.
 		a := &analyzer{img: img, roots: roots}
-		segs := a.fusibleSegs()
-		var plain []ufuse.Segment
-		for _, s := range segs {
-			plain = append(plain, ufuse.Segment{Start: s.Start, Len: s.Len})
-		}
-		if len(plain) == 0 {
-			return
-		}
-		plan, err := ufuse.Compile(&urom.ROM{Image: img}, plain)
-		if err != nil {
-			t.Fatalf("analyzer-fusible segment fails ufuse legality: %v", err)
-		}
-		if err := ufuse.Audit(plan, &urom.ROM{Image: img}, plain); err != nil {
-			t.Fatalf("compiled plan fails audit against its own segment set: %v", err)
-		}
-		// Every proven effect summary must also match ufuse's replay
-		// stream on the mutated store.
-		for _, sum := range rep.Effects {
-			stream, err := ufuse.ReplayStream(img, sum.Start, sum.Len)
-			if err != nil {
-				t.Fatalf("proven summary %05o+%d rejected by replay derivation: %v",
-					sum.Start, sum.Len, err)
-			}
-			for i := range stream {
-				if stream[i] != sum.UPCs[i] {
-					t.Fatalf("summary %05o+%d cycle %d: analyzer %05o, ufuse %05o",
-						sum.Start, sum.Len, i, sum.UPCs[i], stream[i])
-				}
-			}
+		for _, entry := range a.flowEntries() {
+			_ = a.flowWords(entry)
 		}
 	})
 }

@@ -71,7 +71,8 @@ func (a *analyzer) passAttribution(r *Report) {
 // sequencer or IB function in a trap flow is a runtime error waiting for
 // the first TB miss. PTE reads bypass translation and are meaningful
 // only inside trap service, so one reachable anywhere else is flagged.
-func (a *analyzer) passTrapLegality() {
+// It returns the trap-flow word set for passReturnSites.
+func (a *analyzer) passTrapLegality() []bool {
 	n := a.img.Size()
 	inTrap := make([]bool, n)
 	stack := append([]uint16(nil), a.roots.Trap...)
@@ -105,6 +106,32 @@ func (a *analyzer) passTrapLegality() {
 		} else if a.reached[addr] && mi.Mem == ucode.MemReadPTE {
 			a.addf(KindPTEOutsideTrap, ucode.SevError, uint16(addr), "",
 				"physical PTE read reachable outside the trap service flows")
+		}
+	}
+	return inTrap
+}
+
+// passReturnSites proves every collected uret return site is a place
+// the B-DISP subroutine may legally land: inside the image, not an
+// IB-stall wait (the return would count phantom stall cycles), not a
+// microtrap service word, and not the abort word.
+func (a *analyzer) passReturnSites(inTrap []bool) {
+	for _, site := range a.cfg.returnSites {
+		if int(site) >= a.img.Size() {
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o lies outside the %d-word image", site, a.img.Size())
+			continue
+		}
+		switch {
+		case a.img.At(site).IBStall:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o is an IB-stall wait word; returns would count phantom stall cycles", site)
+		case inTrap[site]:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o lies inside a microtrap service flow", site)
+		case a.roots.Abort != 0 && site == a.roots.Abort:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o is the abort word", site)
 		}
 	}
 }

@@ -57,17 +57,14 @@ const (
 	KindPTEOutsideTrap             // PTE read reachable outside trap service flows
 	KindIllegalStall               // IB-stall word entered by fall-through or jump
 	KindBadRoot                    // dispatch-table entry outside the image
-	KindEffectMismatch             // fusible segment whose symbolic effects diverge from the closed form
 	KindURetBadTarget              // uret return site landing somewhere a return must never enter
-	KindURetMidSegment             // uret return site inside a fusible segment's interior
 	NumKinds
 )
 
 var kindNames = [...]string{
 	"verify", "dead-word", "unattributed", "non-terminating", "no-exit",
 	"trap-illegal-seq", "trap-illegal-ib", "pte-outside-trap",
-	"illegal-stall", "bad-root", "effect-mismatch", "uret-bad-target",
-	"uret-mid-segment",
+	"illegal-stall", "bad-root", "uret-bad-target",
 }
 
 func (k Kind) String() string {
@@ -112,17 +109,6 @@ type Report struct {
 	// Bounds holds per-flow worst-case cycle bounds for flows that
 	// passed the termination checks.
 	Bounds []FlowBound
-
-	// Effect-summary proof results (passEffects): one proven summary per
-	// fusible segment, plus the counts behind the 100%-coverage claim.
-	Effects           []EffectSummary
-	FusibleSegments   int // distinct fusible (start, len) segments found
-	SummarizedEffects int // of those, with a proven EffectSummary
-
-	// URetEdges are the cross-flow fusion edges of the return-site pass:
-	// for every reachable SeqURet word, one edge per collected return
-	// site, marked fusible when the site roots a fusible segment.
-	URetEdges []URetEdge
 }
 
 // Clean reports whether the analysis found no findings at all.
@@ -263,12 +249,11 @@ func Analyze(img *ucode.Image, roots Roots) *Report {
 		a.cfg = buildCFG(img, a.roots)
 		a.passDeadWords(r)
 		a.passAttribution(r)
-		a.passTrapLegality()
+		inTrap := a.passTrapLegality()
 		a.passStallEntry()
+		a.passReturnSites(inTrap)
 		a.passTermination()
 		a.passBounds(r)
-		a.passEffects(r)
-		a.passReturnFusion(r)
 	}
 
 	for _, f := range a.findings {

@@ -323,6 +323,38 @@ func TestGoldenLoopBound(t *testing.T) {
 }
 
 // TestFindingString pins the report line format.
+// TestGoldenURetBadTarget: conditional branches whose taken-path return
+// sites are an IB-stall wait word and a trap-service word — locations a
+// B-DISP return must never land on. Both words are structurally
+// well-formed; only the return-site pass sees the illegal landing.
+func TestGoldenURetBadTarget(t *testing.T) {
+	img, roots := brokenStore(t, func(a *ucode.Assembler) {
+		a.Region(ucode.RegExecSimple)
+		a.Label("exec.br1").CondTaken("stall.bad", "returns to a stall word")
+		a.Label("exec.br2").CondTaken("trap.bad", "returns into trap service")
+		a.Region(ucode.RegDecode)
+		a.Label("stall.bad").IBStallLoc(ucode.IBDecodeSpec, "stall")
+		a.Region(ucode.RegMemMgmt)
+		a.Label("trap.bad").Compute(1, "trap work").TrapRet("rfi")
+	})
+	roots.Trap = []uint16{img.Addr("trap.bad")}
+	rep := Analyze(img, roots)
+
+	bad := rep.ByKind(KindURetBadTarget)
+	if len(bad) != 2 {
+		t.Fatalf("want two bad return sites (stall + trap), got %v", rep.Findings)
+	}
+	want := map[uint16]bool{img.Addr("stall.bad"): true, img.Addr("trap.bad"): true}
+	for _, f := range bad {
+		if !want[f.Addr] {
+			t.Errorf("unexpected bad-target finding at %05o", f.Addr)
+		}
+		if f.Severity != ucode.SevError {
+			t.Errorf("bad return site must be an error: %v", f)
+		}
+	}
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{Kind: KindDeadWord, Severity: ucode.SevWarning, Addr: 8, Flow: "exec.x", Msg: "m"}
 	if got := f.String(); got != "00010 (exec.x): warning: [dead-word] m" {

@@ -114,6 +114,31 @@ func TestSaturationStalledSet(t *testing.T) {
 	}
 }
 
+// TestTickFastLazySaturation: TickFast defers the saturation clamp to
+// reconciliation, and the clamped result is bit-exact with the eagerly
+// saturating Tick path.
+func TestTickFastLazySaturation(t *testing.T) {
+	m := New()
+	m.Start()
+	m.counts[7] = counterMax - 1
+	m.counts[8+Buckets] = counterMax - 1
+	for i := 0; i < 4; i++ {
+		m.TickFast(7, false)
+		m.TickFast(8, true)
+	}
+	m.Stop()
+	if !m.Saturated() {
+		t.Fatal("overflowed counter did not latch saturation")
+	}
+	h := m.Snapshot()
+	if n, _ := h.At(7); n != counterMax {
+		t.Errorf("normal bucket 7 = %d, want clamp at %d", n, counterMax)
+	}
+	if _, n := h.At(8); n != counterMax {
+		t.Errorf("stalled bucket 8 = %d, want clamp at %d", n, counterMax)
+	}
+}
+
 func TestStartStopClearSemantics(t *testing.T) {
 	m := New()
 

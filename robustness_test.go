@@ -353,3 +353,52 @@ func FuzzReadDump(f *testing.F) {
 		}
 	})
 }
+
+// TestFusionResumeInterop: the deprecated NoFusion field is outside the
+// checkpoint fingerprint, so a checkpoint written with it set resumes
+// with it unset and vice versa, and both resumed composites are
+// byte-identical to an uninterrupted run. The directions keep the names
+// they had while the field still selected the superword engine:
+// "fused" means NoFusion unset.
+func TestFusionResumeInterop(t *testing.T) {
+	base := RunConfig{
+		Instructions: 4000,
+		Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
+		FlightDepth:  64,
+	}
+	uninterrupted, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, dir := range []struct {
+		name                string
+		killFused, resFused bool
+	}{
+		{"fused-then-interpreted", true, false},
+		{"interpreted-then-fused", false, true},
+	} {
+		t.Run(dir.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			killed := base
+			killed.Checkpoint = ckpt
+			killed.NoFusion = !dir.killFused
+			killed.haltAfter = 1
+			if _, err := Run(killed); !errors.Is(err, errRunHalted) {
+				t.Fatalf("halted run: err = %v, want errRunHalted", err)
+			}
+			resumed := base
+			resumed.Checkpoint = ckpt
+			resumed.Resume = true
+			resumed.NoFusion = !dir.resFused
+			res, err := Run(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resumed != 1 {
+				t.Errorf("Resumed = %d, want 1", res.Resumed)
+			}
+			compareResults(t, res, uninterrupted)
+		})
+	}
+}

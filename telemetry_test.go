@@ -83,6 +83,43 @@ func TestTelemetryAttachmentIsPassive(t *testing.T) {
 	}
 }
 
+// TestHooksObserveEveryCycle: with telemetry, a forced-on flight
+// recorder and a stride-1 profiler attached at once, each hook observes
+// every cycle of the composite — the live counter, the interval sums
+// and the sample count all equal the histogram total — and together
+// they leave the measurement bit-identical to a bare run.
+func TestHooksObserveEveryCycle(t *testing.T) {
+	cfg := RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTECommercial}}
+	bare, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry(1500, 200000)
+	prof := &Profiler{SampleStride: 1}
+	hooked := cfg
+	hooked.Telemetry = tel
+	hooked.FlightDepth = 64
+	hooked.Profiler = prof
+	res, err := Run(hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, bare, res)
+
+	total := res.Histogram().TotalCycles()
+	if c := tel.Counters(); c.Cycles != total {
+		t.Errorf("telemetry counted %d cycles, histogram holds %d", c.Cycles, total)
+	}
+	if got := tel.IntervalCycleTotal(); got != total {
+		t.Errorf("interval cycle sum = %d, histogram total = %d", got, total)
+	}
+	if p := prof.Profile(); p == nil {
+		t.Error("profiler published no profile")
+	} else if p.Samples != total {
+		t.Errorf("stride-1 profiler sampled %d cycles, want every one of %d", p.Samples, total)
+	}
+}
+
 func TestTelemetryExportsAndHandler(t *testing.T) {
 	tel := NewTelemetry(1000, 200000)
 	srv := httptest.NewServer(tel.Handler())

@@ -1,6 +1,7 @@
 package vax780
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -19,7 +20,6 @@ import (
 	"vax780/internal/runlog"
 	"vax780/internal/telemetry"
 	"vax780/internal/tracesim"
-	"vax780/internal/ufuse"
 	"vax780/internal/upc"
 	"vax780/internal/workload"
 )
@@ -216,23 +216,14 @@ type RunConfig struct {
 	// See Profiler for the span-tree and trace exports.
 	Profiler *Profiler
 
-	// NoFusion disables the flow-fusion superword engine, forcing
-	// single-step interpretation of every microword. Fusion is on by
-	// default and bit-exact with interpretation — ulint proves each
-	// fused run pure, and any enabled observation hook (telemetry,
-	// fault plan, flight recorder, profiler sampler) already forces
-	// single-step — so this escape hatch exists for A/B measurement
-	// and debugging. Like Parallelism, it is excluded from the
-	// checkpoint fingerprint: a fused run may resume an unfused one
-	// and vice versa, bit-identically.
+	// NoFusion once disabled the flow-fusion superword engine, which
+	// has been removed: every Run interprets the control store one
+	// microword per cycle. It was never part of the checkpoint
+	// fingerprint.
+	//
+	// Deprecated: NoFusion has no effect; it stays only so existing
+	// callers keep compiling.
 	NoFusion bool
-
-	// FusionTargets, when non-empty, restricts fusion to the listed
-	// segments — typically a vaxprof -targets ranking's top rows — so a
-	// measurement can ask how much of the fusion win the hottest
-	// superwords carry. Empty fuses every segment the control store
-	// proves legal. Ignored when NoFusion is set.
-	FusionTargets []JITTarget
 
 	// haltAfter is a test seam: when positive, the run stops with
 	// errRunHalted once that many workloads (counting resumed ones)
@@ -257,10 +248,6 @@ type RunConfig struct {
 	// that completed before the cancel is already merged and (when a
 	// Checkpoint is configured) durably checkpointed.
 	ctx context.Context
-
-	// fusion is the resolved superword plan (set once by RunContext
-	// from NoFusion/FusionTargets; nil single-steps everything).
-	fusion *ufuse.Plan
 }
 
 // errRunHalted reports a run stopped by the haltAfter test seam.
@@ -275,14 +262,43 @@ func (c *RunConfig) fill() {
 	}
 }
 
-// validate rejects configurations Run cannot honor. Checked before any
-// work starts, so a bad configuration fails fast with a clear error
-// instead of silently rounding or misbehaving mid-run.
-func (c *RunConfig) validate() error {
+// ErrBadConfig reports a RunConfig that describes a machine Run cannot
+// build: a negative hardware parameter, a cache or translation buffer
+// whose size does not divide into whole sets, or a flight-recorder
+// depth the mask-indexed ring cannot hold. Test with errors.Is.
+var ErrBadConfig = errors.New("vax780: bad run configuration")
+
+// Validate rejects configurations Run cannot honor; Run calls it before
+// any work starts, so a bad configuration fails fast with an error
+// matching ErrBadConfig instead of being silently rounded to some
+// other machine. Zero hardware fields select the 11/780 parameters.
+func (c *RunConfig) Validate() error {
 	if d := c.FlightDepth; d > 0 && d&(d-1) != 0 {
-		return fmt.Errorf("vax780: FlightDepth %d is not a power of two "+
+		return fmt.Errorf("%w: FlightDepth %d is not a power of two "+
 			"(the flight recorder ring is mask-indexed; use the next power of two, "+
-			"0 for the default, or a negative depth to disable the recorder)", d)
+			"0 for the default, or a negative depth to disable the recorder)", ErrBadConfig, d)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"CacheBytes", c.CacheBytes}, {"CacheWays", c.CacheWays}, {"TBEntries", c.TBEntries},
+		{"MissLatency", c.MissLatency}, {"WriteBusy", c.WriteBusy},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%w: %s %d is negative", ErrBadConfig, f.name, f.v)
+		}
+	}
+	d := mem.Default()
+	bytes, ways := cmp.Or(c.CacheBytes, d.CacheBytes), cmp.Or(c.CacheWays, d.CacheWays)
+	entries := cmp.Or(c.TBEntries, d.TBEntries)
+	if set := ways * d.CacheBlock; bytes%set != 0 {
+		return fmt.Errorf("%w: CacheBytes %d is not a multiple of %d ways × %d-byte block",
+			ErrBadConfig, bytes, ways, d.CacheBlock)
+	}
+	if set := 2 * d.TBWays; entries%set != 0 {
+		return fmt.Errorf("%w: TBEntries %d is not a multiple of 2 halves × %d ways",
+			ErrBadConfig, entries, d.TBWays)
 	}
 	return nil
 }
@@ -363,8 +379,8 @@ func (c *RunConfig) childPlan(i int) *faults.Plan {
 // cache otherwise. Traces are read-only once generated (machines
 // never write them), so one trace can drive any number of concurrent
 // machines — and repeated runs of the same workload shape (benchmark
-// iterations, vaxd jobs, fused-vs-interpreted A/B pairs) reuse one
-// generated trace instead of re-deriving it per run.
+// iterations, vaxd jobs, sweep design points) reuse one generated
+// trace instead of re-deriving it per run.
 func (c *RunConfig) trace(id WorkloadID, p workload.Profile) (*workload.Trace, error) {
 	if c.traces != nil {
 		return c.traces.get(id, p, c)
@@ -415,14 +431,9 @@ func Run(cfg RunConfig) (*Results, error) {
 func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 	cfg.ctx = ctx
 	cfg.fill()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plan, planErr := cfg.fusionPlan()
-	if planErr != nil {
-		return nil, planErr
-	}
-	cfg.fusion = plan
 	if cfg.Profiler != nil {
 		cfg.Profiler.begin()
 	}
@@ -759,7 +770,6 @@ func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
 		Flight:        fr,
 		Sampler:       samp,
 		Progress:      cell,
-		Fusion:        cfg.fusion,
 	}
 	if tel != nil {
 		// Assign only a live layer: a nil *telemetry.Telemetry boxed in

@@ -1,6 +1,7 @@
 package vax780
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -211,5 +212,58 @@ func TestWorkloadComparison(t *testing.T) {
 func TestVerifyMicrocodeClean(t *testing.T) {
 	if issues := VerifyMicrocode(); len(issues) != 0 {
 		t.Errorf("microcode verifier found issues: %v", issues)
+	}
+}
+
+// TestValidateHardware: a design point that names a machine Run cannot
+// build fails before any work with ErrBadConfig instead of being
+// silently rounded; the stock machine and the repository's own study
+// and benchmark design points are accepted.
+func TestValidateHardware(t *testing.T) {
+	bad := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"negative miss latency", RunConfig{MissLatency: -5}},
+		{"3-byte cache", RunConfig{CacheBytes: 3}},
+		{"negative cache", RunConfig{CacheBytes: -8192}},
+		{"3-way cache", RunConfig{CacheWays: 3}},
+		{"7-entry TB", RunConfig{TBEntries: 7}},
+		{"negative ways", RunConfig{CacheWays: -2}},
+		{"negative TB", RunConfig{TBEntries: -128}},
+		{"negative write busy", RunConfig{WriteBusy: -1}},
+		{"flight depth 100", RunConfig{FlightDepth: 100}},
+	}
+	for _, tc := range bad {
+		cfg := tc.cfg
+		cfg.Instructions = 200
+		cfg.Workloads = []WorkloadID{TimesharingA}
+		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Run err = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+
+	good := []RunConfig{
+		{},
+		{CacheBytes: 2 << 10, CacheWays: 1},
+		{CacheBytes: 4 << 10, CacheWays: 2},
+		{CacheBytes: 16 << 10, CacheWays: 4},
+		{CacheBytes: 1 << 10},
+		{TBEntries: 64}, {TBEntries: 256},
+		{MissLatency: 4, WriteBusy: 8},
+		{FlightDepth: 256}, {FlightDepth: -1},
+	}
+	for _, cb := range []int{8 << 10, 16 << 10} {
+		for _, cw := range []int{2, 4} {
+			for _, tb := range []int{64, 128, 256} {
+				good = append(good, RunConfig{CacheBytes: cb, CacheWays: cw, TBEntries: tb,
+					MissLatency: 8, WriteBusy: 4})
+			}
+		}
+	}
+	for _, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
 }
