@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"vax780"
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 )
 
@@ -108,10 +109,12 @@ func probePlan(n int) []probeConfig {
 
 // measurement is everything one interleaved measurement session
 // produces: the solved (or passed-through) calibration, the kept
-// composite profiler and results, and the reconciliation reference.
+// composite's profiler, run trace and results, and the reconciliation
+// reference.
 type measurement struct {
 	cal      *vax780.Calibration
 	profiler *vax780.Profiler
+	rec      *obs.Recorder
 	res      *vax780.Results
 	wallNs   float64
 }
@@ -119,8 +122,8 @@ type measurement struct {
 // measure runs the interleaved session: reps repetitions of every
 // calibration probe (skipped when preCal is non-nil) and of the
 // profiled composite. The composite repetition with the lowest wall
-// time supplies the reported profiler and results; ledgerPath, when
-// set, is rewritten per repetition and ends up with the last
+// time supplies the reported profiler, trace and results; ledgerPath,
+// when set, is rewritten per repetition and ends up with the last
 // repetition's stream (identical across repetitions up to host
 // timestamps, the simulation being deterministic).
 func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath string) (*measurement, error) {
@@ -180,7 +183,8 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 		}
 
 		p := &vax780.Profiler{SampleStride: stride, MaxFlows: top}
-		cfg := vax780.RunConfig{Instructions: n, Parallelism: 1, Profiler: p}
+		rec := obs.NewRecorder("vaxprof")
+		cfg := vax780.RunConfig{Instructions: n, Parallelism: 1, Profiler: p, Trace: rec}
 		var led io.WriteCloser
 		if ledgerPath != "" {
 			f, err := os.Create(ledgerPath)
@@ -206,10 +210,10 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 			ns = pr.WallNs
 		}
 		if m.profiler == nil || ns < bestNs {
-			m.profiler, m.res, bestNs = p, res, ns
+			m.profiler, m.rec, m.res, bestNs = p, rec, res, ns
 		}
-		if root := p.SpanTree(); root != nil {
-			for _, ws := range root.Children {
+		for _, ws := range rec.Root().Children() {
+			if ws.Kind == "workload" {
 				pool(ws.Name, ws.DurNs)
 			}
 		}

@@ -13,13 +13,17 @@
 // probes (each workload weights compute, memory, and stalls
 // differently, so the five runs give five independent equations).
 //
+// The span exports are the measured composite's run trace
+// (RunConfig.Trace): run → workload → exact top flows, placed on the
+// profiler's wall clock and schema-checked by obs.ValidateSpans.
+//
 // Usage:
 //
 //	vaxprof [-n 50000] [-top 15] [-stride 64]      hot-flow tables, both engines
 //	vaxprof -diff old.json new.json                compare two saved profiles
 //	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
 //	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
-//	vaxprof -chrome trace.json -spans spans.jsonl  span-tree exports (sweep→run→workload→flow)
+//	vaxprof -chrome trace.json -spans spans.jsonl  run trace exports (run→workload→flow)
 //	vaxprof -ledger run.jsonl                      also write the run ledger JSONL
 //
 // Exit codes: 0 on success, 1 on any failure, 2 on usage errors.
@@ -28,9 +32,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vax780"
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 )
 
@@ -43,8 +49,8 @@ func main() {
 	out := flag.String("o", "", "write the exact-engine profile JSON here")
 	calibIn := flag.String("calib", "", "load a saved calibration instead of probing")
 	calibOut := flag.String("calib-out", "", "write the solved calibration JSON here")
-	chrome := flag.String("chrome", "", "write the span tree as Chrome trace-event JSON here")
-	spans := flag.String("spans", "", "write the span tree as JSONL rows here")
+	chrome := flag.String("chrome", "", "write the run trace (run→workload→flow) as Chrome trace-event JSON here")
+	spans := flag.String("spans", "", "write the run trace (run→workload→flow) as JSONL span rows here")
 	ledger := flag.String("ledger", "", "write the run ledger JSONL here")
 	flag.Parse()
 
@@ -118,15 +124,7 @@ func run(n, top, stride, reps int,
 	cal, profiler, res, wallNs := m.cal, m.profiler, m.res, m.wallNs
 
 	if calibOut != "" {
-		f, err := os.Create(calibOut)
-		if err != nil {
-			return err
-		}
-		if err := cal.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -143,68 +141,46 @@ func run(n, top, stride, reps int,
 		fmt.Printf("\nreconciliation: exact total %.3f ms vs measured %.3f ms (%+.1f%%)\n",
 			exact.TotalNs/1e6, exact.WallNs/1e6, err)
 	}
-	return writeExports(profiler, res, cal, wallNs, out, chrome, spansPath)
+	return writeExports(m.rec, res, cal, wallNs, out, chrome, spansPath)
 }
 
-// writeExports emits the requested files after a measurement run.
-func writeExports(profiler *vax780.Profiler, res *vax780.Results,
+// writeExports emits the requested files after a measurement run: the
+// exact profile, and the measured run's trace in Chrome and JSONL form.
+func writeExports(rec *obs.Recorder, res *vax780.Results,
 	cal *vax780.Calibration, wallNs float64, out, chrome, spansPath string) error {
 
 	if out != "" {
 		exact := res.Profile(cal)
 		exact.WallNs = wallNs
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := exact.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(out, exact.WriteJSON); err != nil {
 			return err
 		}
 	}
-	if chrome == "" && spansPath == "" {
-		return nil
-	}
-	root := sweepSpan(profiler)
 	if chrome != "" {
-		f, err := os.Create(chrome)
+		err := writeFile(chrome, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, rec.TraceID(), rec.Root())
+		})
 		if err != nil {
-			return err
-		}
-		if err := prof.WriteChromeTrace(f, root); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
 	if spansPath != "" {
-		f, err := os.Create(spansPath)
-		if err != nil {
-			return err
-		}
-		if err := prof.WriteJSONL(f, root); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(spansPath, rec.WriteJSONL); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sweepSpan wraps the measured run's span tree under a sweep-level
-// root, completing the sweep → run → workload → flow hierarchy (the
-// calibration probes were the sweep's other runs; only the profiled
-// composite carries measured spans).
-func sweepSpan(profiler *vax780.Profiler) *vax780.Span {
-	runSpan := profiler.SpanTree()
-	root := prof.NewSpan("sweep", "vaxprof", runSpan.StartNs, runSpan.DurNs)
-	root.Add(runSpan)
-	return root
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

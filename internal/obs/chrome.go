@@ -1,16 +1,26 @@
 package obs
 
 // Chrome trace-event export for obs span trees (load in Perfetto /
-// chrome://tracing). Unlike prof's exporter, an obs tree mixes two
-// timebases: service spans carry measured wall placements, run-side
-// spans carry simulated cycles and no wall clock at all (they must
-// stay byte-deterministic across -j). The layout rule: a wall-placed
-// span sits at its measured offset; a wall-free span is laid out
-// sequentially inside its parent's window with its cycle count as the
-// duration unit (one cycle renders as one microsecond). The result is
-// schematic for cycle spans — magnitudes and nesting are faithful,
-// absolute positions are not — and fully deterministic for a trace
-// with no wall data at all.
+// chrome://tracing) — the one Chrome writer for every span tree in
+// the repo. A tree mixes two timebases: wall-placed spans (service
+// spans, and the run and workload spans of a profiled run) carry
+// measured host placements; the rest carry simulated cycles only and
+// must stay byte-deterministic across -j. The layout rules:
+//
+//   - a wall-placed span sits at its measured offset;
+//   - wall-free children are laid out back to back from their
+//     parent's start, each taking a share of the parent's rendered
+//     window in proportion to its cycles, so a profiled workload's
+//     flows partition its measured wall time (a span's cycle budget is
+//     its own count or its wall-free children's sum, whichever is
+//     larger, so the children always fit);
+//   - siblings that overlap in time (workloads of a -j > 1 run) go on
+//     separate tracks; a sibling that starts after the earlier ones
+//     end shares its parent's track.
+//
+// A trace with no wall data therefore renders one cycle as one
+// microsecond on a single track: schematic positions, faithful
+// magnitudes and nesting, fully deterministic.
 
 import (
 	"encoding/json"
@@ -31,35 +41,33 @@ type chromeEvent struct {
 // WriteChromeTrace writes the tree as Chrome trace-event JSON ("X"
 // complete events, microseconds).
 func WriteChromeTrace(w io.Writer, trace string, root *Span) error {
+	// budget is a span's size in cycles: its own count or the sum of
+	// its wall-free children, whichever is larger (a leaf with neither
+	// still renders, as one cycle).
 	memo := make(map[*Span]float64)
-	var durOf func(s *Span) float64
-	durOf = func(s *Span) float64 {
-		if d, ok := memo[s]; ok {
-			return d
+	var budget func(s *Span) float64
+	budget = func(s *Span) float64 {
+		if b, ok := memo[s]; ok {
+			return b
 		}
 		var sum float64
 		for _, c := range s.children {
-			sum += durOf(c)
+			if c.DurNs <= 0 {
+				sum += budget(c)
+			}
 		}
-		d := float64(1)
-		switch {
-		case s.DurNs > 0:
-			d = s.DurNs / 1e3
-		case float64(s.Cycles) > sum:
-			d = float64(s.Cycles)
-		case sum > 0:
-			d = sum
+		b := max(float64(s.Cycles), sum)
+		if b == 0 {
+			b = 1
 		}
-		memo[s] = d
-		return d
+		memo[s] = b
+		return b
 	}
 
 	var events []chromeEvent
-	var layout func(s *Span, ts float64)
-	layout = func(s *Span, ts float64) {
-		if s.DurNs > 0 {
-			ts = s.StartNs / 1e3
-		}
+	nextTid := 2
+	var layout func(s *Span, ts, dur float64, tid int)
+	layout = func(s *Span, ts, dur float64, tid int) {
 		args := make(map[string]any, len(s.attrs)+1)
 		args["trace"] = trace
 		for k, v := range s.attrs {
@@ -67,17 +75,43 @@ func WriteChromeTrace(w io.Writer, trace string, root *Span) error {
 		}
 		events = append(events, chromeEvent{
 			Name: s.Name, Cat: s.Kind, Ph: "X",
-			Ts: ts, Dur: durOf(s), Pid: 1, Tid: 1,
+			Ts: ts, Dur: dur, Pid: 1, Tid: tid,
 			Args: args,
 		})
+		scale := dur / budget(s)
 		cur := ts
+		// Tracks of s's children: index 0 is s's own tid.
+		var ends []float64
+		var tids []int
 		for _, c := range s.children {
-			layout(c, cur)
-			cur += durOf(c)
+			cts, cdur := cur, budget(c)*scale
+			if c.DurNs > 0 {
+				cts, cdur = c.StartNs/1e3, c.DurNs/1e3
+			} else {
+				cur += cdur
+			}
+			k := 0
+			for k < len(ends) && ends[k] > cts {
+				k++
+			}
+			if k == len(ends) {
+				t := tid
+				if k > 0 {
+					t = nextTid
+					nextTid++
+				}
+				ends, tids = append(ends, 0), append(tids, t)
+			}
+			ends[k] = cts + cdur
+			layout(c, cts, cdur, tids[k])
 		}
 	}
 	if root != nil {
-		layout(root, 0)
+		ts, dur := 0.0, budget(root)
+		if root.DurNs > 0 {
+			ts, dur = root.StartNs/1e3, root.DurNs/1e3
+		}
+		layout(root, ts, dur, 1)
 	}
 	out := struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"testing"
 
@@ -130,6 +131,17 @@ func TestValidateSpansRejects(t *testing.T) {
 	mutate("key outside envelope", func(rows []map[string]any) {
 		rows[0]["wall"] = 5
 	})
+	mutate("path not derived from parent and name", func(rows []map[string]any) {
+		leaf := rows[len(rows)-1]
+		leaf["path"] = leaf["path"].(string) + "x"
+		leaf["id"] = PathID("k-0123", leaf["path"].(string))
+	})
+	mutate("rows out of depth-first order", func(rows []map[string]any) {
+		rows[5], rows[6] = rows[6], rows[5] // workload 0's retry after workload 1
+	})
+	mutate("explicit zero field", func(rows []map[string]any) {
+		rows[1]["cycles"] = 0
+	})
 	if err := ValidateSpans(nil); err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -178,6 +190,12 @@ func TestStripWall(t *testing.T) {
 	if err := ValidateSpans(stripped); err != nil {
 		t.Fatalf("stripped trace fails schema: %v", err)
 	}
+	// A torn trace — the final row cut mid-record — is an error, not
+	// a silently shorter canonical form.
+	torn := walled.Bytes()[:walled.Len()-10]
+	if out, err := StripWall(torn); err == nil {
+		t.Fatalf("StripWall accepted a torn trace:\n%s", out)
+	}
 }
 
 func TestChromeExport(t *testing.T) {
@@ -208,6 +226,126 @@ func TestChromeExport(t *testing.T) {
 	for _, ev := range out.TraceEvents {
 		if ev.Ph != "X" || ev.Dur <= 0 {
 			t.Fatalf("bad chrome event %+v", ev)
+		}
+	}
+}
+
+// chromeEvents decodes a Chrome export's events.
+func chromeEvents(t *testing.T, data []byte) []chromeEvent {
+	t.Helper()
+	var out struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.TraceEvents
+}
+
+// sampleChromeGolden is sampleTree's Chrome export: with no wall data
+// one cycle renders as one microsecond, children back to back on one
+// track. The mixed-timebase layout must not move a byte of it.
+const sampleChromeGolden = `{"traceEvents":[` +
+	`{"name":"TIMESHARING-A,TIMESHARING-A","cat":"run","ph":"X","ts":0,"dur":21901,"pid":1,"tid":1,"args":{"config":"00000000deadbeef","instructions":1000,"resumed":1,"retries":1,"trace":"k-0123","workloads":2}},` +
+	`{"name":"resume","cat":"resume","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"restored":1,"trace":"k-0123"}},` +
+	`{"name":"TIMESHARING-A","cat":"workload","ph":"X","ts":1,"dur":10950,"pid":1,"tid":1,"args":{"cpi":10.95,"index":0,"instructions":1000,"trace":"k-0123"}},` +
+	`{"name":"IRD","cat":"flow","ph":"X","ts":1,"dur":4000,"pid":1,"tid":1,"args":{"entry":16,"share":0.41,"trace":"k-0123"}},` +
+	`{"name":"checkpoint","cat":"checkpoint","ph":"X","ts":4001,"dur":1,"pid":1,"tid":1,"args":{"records":1,"trace":"k-0123"}},` +
+	`{"name":"retries","cat":"retry","ph":"X","ts":4002,"dur":1,"pid":1,"tid":1,"args":{"count":1,"trace":"k-0123"}},` +
+	`{"name":"TIMESHARING-A","cat":"workload","ph":"X","ts":10951,"dur":10950,"pid":1,"tid":1,"args":{"cpi":10.95,"index":1,"instructions":1000,"trace":"k-0123"}},` +
+	`{"name":"IRD","cat":"flow","ph":"X","ts":10951,"dur":4000,"pid":1,"tid":1,"args":{"entry":16,"share":0.41,"trace":"k-0123"}},` +
+	`{"name":"checkpoint","cat":"checkpoint","ph":"X","ts":14951,"dur":1,"pid":1,"tid":1,"args":{"records":2,"trace":"k-0123"}}` +
+	"]}\n"
+
+// TestChromeLayoutMixedTimebases: a profiled run's shape — a
+// wall-placed run and workloads over cycle-only flows — lays out with
+// every child inside its parent's window, flows sharing out their
+// workload's measured time in proportion to their cycles, and
+// overlapping workloads on separate tracks; a wall-free trace keeps
+// its one-cycle-one-microsecond layout byte for byte.
+func TestChromeLayoutMixedTimebases(t *testing.T) {
+	rec, root := sampleTree()
+	var plain bytes.Buffer
+	if err := WriteChromeTrace(&plain, rec.TraceID(), root); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != sampleChromeGolden {
+		t.Errorf("wall-free layout changed:\n%s\nwant\n%s", plain.String(), sampleChromeGolden)
+	}
+
+	// Three workloads of a -j 2 run: a and b overlap, c starts after a
+	// ends. Cycle counts dwarf the wall windows in microseconds, so a
+	// cycle-as-microsecond layout would overflow every workload. Flows
+	// are a workload's top flows, so they sum below its cycles.
+	rec = NewRecorder("mixed")
+	run := rec.Begin("run", "mixed").SetCycles(3_000_000).SetWall(0, 12e6)
+	type wl struct {
+		name           string
+		startNs, durNs float64
+		cycles         uint64
+		flows          []uint64
+	}
+	for _, w := range []wl{
+		{"a", 1e6, 4e6, 1_000_000, []uint64{400_000, 300_000, 100_000}},
+		{"b", 2e6, 6e6, 1_200_000, []uint64{700_000, 450_000}},
+		{"c", 6e6, 5e6, 800_000, []uint64{600_000}},
+	} {
+		ws := run.Child("workload", w.name).SetCycles(w.cycles).SetWall(w.startNs, w.durNs)
+		for i, c := range w.flows {
+			ws.Child("flow", fmt.Sprintf("%s.f%d", w.name, i)).SetCycles(c)
+		}
+		ws.Child("checkpoint", "checkpoint")
+	}
+	var mixed bytes.Buffer
+	if err := WriteChromeTrace(&mixed, rec.TraceID(), run); err != nil {
+		t.Fatal(err)
+	}
+	evs := chromeEvents(t, mixed.Bytes())
+	rows := Flatten(rec.TraceID(), run)
+	if len(evs) != len(rows) {
+		t.Fatalf("%d events for %d spans", len(evs), len(rows))
+	}
+	at := make(map[string]int, len(rows))
+	for i, row := range rows {
+		at[row.ID] = i
+	}
+	const eps = 1e-6
+	byName := map[string]chromeEvent{}
+	for i, row := range rows {
+		c := evs[i]
+		byName[c.Name] = c
+		if row.Parent == "" {
+			if c.Ts != 0 || c.Dur != 12e3 {
+				t.Errorf("run event [%g +%g], want its wall window [0 +12000]", c.Ts, c.Dur)
+			}
+			continue
+		}
+		p := evs[at[row.Parent]]
+		if c.Ts < p.Ts-eps || c.Ts+c.Dur > p.Ts+p.Dur+eps {
+			t.Errorf("%s %q at [%g, %g] escapes %q [%g, %g]",
+				c.Cat, c.Name, c.Ts, c.Ts+c.Dur, p.Name, p.Ts, p.Ts+p.Dur)
+		}
+		if row.Kind == "flow" {
+			// µs per cycle must be the parent workload's window over
+			// its cycle count.
+			ws := rows[at[row.Parent]]
+			want := ws.DurNs / 1e3 / float64(ws.Cycles)
+			if got := c.Dur / float64(row.Cycles); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("flow %q renders %g µs/cycle, want %g", c.Name, got, want)
+			}
+		}
+	}
+	a, b, c := byName["a"], byName["b"], byName["c"]
+	if a.Tid == b.Tid || b.Tid == c.Tid {
+		t.Errorf("overlapping workloads share a track: a=%d b=%d c=%d", a.Tid, b.Tid, c.Tid)
+	}
+	if c.Tid != a.Tid {
+		t.Errorf("c starts after a ends but took tid %d, not a's %d", c.Tid, a.Tid)
+	}
+	// Descendants ride their workload's track.
+	for name, want := range map[string]int{"a.f0": a.Tid, "b.f1": b.Tid, "c.f0": c.Tid} {
+		if got := byName[name].Tid; got != want {
+			t.Errorf("flow %s on tid %d, want its workload's %d", name, got, want)
 		}
 	}
 }

@@ -11,7 +11,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
+	"strconv"
+
+	"vax780/internal/runlog"
 )
 
 // KindSchema lists a span kind's required and optional attribute keys.
@@ -72,13 +76,18 @@ var rowKeys = map[string]bool{
 
 // ValidateSpans checks a JSONL trace export against the golden schema
 // and the structural contract. It accepts the exact bytes WriteRows
-// produces (and their StripWall canonical form).
+// produces (and their StripWall canonical form), and nothing that
+// ParseRows → WriteRows would change beyond key order and wall keys:
+// rows in depth-first order, paths and IDs derived from the tree, no
+// field spelled in a form the wire encoding never produces.
 func ValidateSpans(data []byte) error {
 	schema := SpanSchema()
-	seen := make(map[string]bool)
+	paths := make(map[string]string) // id → path, every row so far
+	kids := make(map[string]int)     // id → children seen so far
+	var stack []string               // open ancestors of the next row, root first
 	var trace string
 	n := 0
-	for _, line := range completeLines(data) {
+	for _, line := range runlog.Lines(data) {
 		n++
 		var raw map[string]any
 		if err := json.Unmarshal(line, &raw); err != nil {
@@ -110,16 +119,33 @@ func ValidateSpans(data []byte) error {
 			return fmt.Errorf("row %d: id %s does not derive from path %q (want %s)",
 				n, row.ID, row.Path, want)
 		}
-		if seen[row.ID] {
+		if _, dup := paths[row.ID]; dup {
 			return fmt.Errorf("row %d: duplicate id %s", n, row.ID)
 		}
-		switch {
-		case row.Parent == "" && n != 1:
-			return fmt.Errorf("row %d: second root (no parent)", n)
-		case row.Parent != "" && !seen[row.Parent]:
-			return fmt.Errorf("row %d: parent %s not emitted before child", n, row.Parent)
+		want := segment(row.Name)
+		if row.Parent == "" {
+			if n != 1 {
+				return fmt.Errorf("row %d: second root (no parent)", n)
+			}
+		} else {
+			pp, ok := paths[row.Parent]
+			if !ok {
+				return fmt.Errorf("row %d: parent %s not emitted before child", n, row.Parent)
+			}
+			for stack[len(stack)-1] != row.Parent {
+				stack = stack[:len(stack)-1]
+				if len(stack) == 0 {
+					return fmt.Errorf("row %d: parent %s already closed (rows out of depth-first order)", n, row.Parent)
+				}
+			}
+			want = pp + "/" + strconv.Itoa(kids[row.Parent]) + ":" + want
+			kids[row.Parent]++
 		}
-		seen[row.ID] = true
+		if row.Path != want {
+			return fmt.Errorf("row %d: path %q does not derive from parent and name (want %q)", n, row.Path, want)
+		}
+		paths[row.ID] = row.Path
+		stack = append(stack, row.ID)
 
 		ks, ok := schema[row.Kind]
 		if !ok {
@@ -145,9 +171,33 @@ func ValidateSpans(data []byte) error {
 			sort.Strings(extra)
 			return fmt.Errorf("row %d: %s span attributes outside schema: %v", n, row.Kind, extra)
 		}
+		if !wireForm(raw, row) {
+			return fmt.Errorf("row %d: not in wire form (explicit zero or empty field, or a missing name)", n)
+		}
 	}
 	if n == 0 {
 		return fmt.Errorf("empty trace")
 	}
 	return nil
+}
+
+// wireForm reports whether a row decodes and re-encodes to the same
+// object, wall keys aside: Row's omitempty fields and required name
+// mean an explicit zero cycle count, an empty attrs object or a
+// missing name would not survive a ParseRows → WriteRows round trip.
+// It consumes raw's wall keys.
+func wireForm(raw map[string]any, row Row) bool {
+	enc, err := json.Marshal(row)
+	if err != nil {
+		return false
+	}
+	var back map[string]any
+	if err := json.Unmarshal(enc, &back); err != nil {
+		return false
+	}
+	for _, m := range []map[string]any{raw, back} {
+		delete(m, "start_ns")
+		delete(m, "dur_ns")
+	}
+	return reflect.DeepEqual(raw, back)
 }

@@ -7,8 +7,9 @@
 // span's identity is a pure function of its trace ID and its path in
 // the tree, so the JSONL export of a run trace is byte-identical
 // across -j without any cross-worker ID coordination. Wall-clock data
-// (start_ns/dur_ns) is optional, additive, and removed by StripWall —
-// exactly as runlog.StripWallClock treats the ledger's host group.
+// (start_ns/dur_ns) is optional, additive, and removed by StripWall,
+// which is runlog.StripKeys — the canonicalizer behind the ledger's
+// StripWallClock — applied to those two keys.
 //
 // Every hook is nil-checked and off by default: a nil *Recorder, a nil
 // *Span, and a nil *Metrics are all valid "observability disabled"
@@ -24,6 +25,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"vax780/internal/runlog"
 )
 
 // Span is one node of a causal trace tree. Kind is the schema type
@@ -234,12 +237,12 @@ func WriteRows(w io.Writer, trace string, root *Span) error {
 
 // ParseRows rebuilds a span tree from a JSONL export. Rows must be in
 // Flatten's depth-first order (every parent before its children) —
-// the same property ValidateSpans enforces.
+// the same property ValidateSpans enforces — and every non-empty line
+// must be a row: a torn trace is an error.
 func ParseRows(data []byte) (trace string, root *Span, err error) {
 	byID := make(map[string]*Span)
-	n := 0
-	for _, line := range completeLines(data) {
-		n++
+	for i, line := range runlog.Lines(data) {
+		n := i + 1
 		var row Row
 		if err := json.Unmarshal(line, &row); err != nil {
 			return "", nil, fmt.Errorf("obs: row %d: %w", n, err)
@@ -274,46 +277,21 @@ func ParseRows(data []byte) (trace string, root *Span, err error) {
 }
 
 // StripWall canonicalizes a JSONL trace for determinism comparison:
-// wall-clock keys removed, remaining keys re-encoded in sorted order,
-// one row per line — the span-side twin of runlog.StripWallClock. Two
-// exports of the same run must strip to identical bytes regardless of
-// parallelism or whether a profiler supplied wall placements.
+// the wall-clock keys removed by runlog.StripKeys, the same
+// canonicalizer the ledger's StripWallClock uses. Two exports of the
+// same run must strip to identical bytes regardless of parallelism or
+// whether a profiler supplied wall placements; a torn trace is an
+// error.
 func StripWall(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	n := 0
-	for _, line := range completeLines(data) {
-		n++
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("obs: row %d: %w", n, err)
-		}
-		delete(rec, "start_ns")
-		delete(rec, "dur_ns")
-		// encoding/json sorts map keys, giving the canonical order.
-		enc, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("obs: row %d: %w", n, err)
-		}
-		out.Write(enc)
-		out.WriteByte('\n')
+	out, err := runlog.StripKeys(data, []string{"start_ns", "dur_ns"})
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
-// completeLines splits data into newline-terminated records, dropping
-// blanks and an unterminated tail — the same torn-tail tolerance the
-// castore journal replay has.
+// completeLines is runlog.Lines minus an unterminated tail — the
+// torn-tail tolerance the castore journal replay has.
 func completeLines(data []byte) [][]byte {
-	var lines [][]byte
-	for {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return lines
-		}
-		line := bytes.TrimSpace(data[:nl])
-		data = data[nl+1:]
-		if len(line) > 0 {
-			lines = append(lines, line)
-		}
-	}
+	return runlog.Lines(data[:bytes.LastIndexByte(data, '\n')+1])
 }

@@ -1,9 +1,7 @@
 package prof
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -226,61 +224,6 @@ func TestDiffProfiles(t *testing.T) {
 	out := RenderDiff(deltas, 10, 0)
 	if !strings.Contains(out, hot.Name) {
 		t.Fatalf("render missing mover:\n%s", out)
-	}
-}
-
-func TestSpansExport(t *testing.T) {
-	rom, ix := testIndex(t)
-	p := Sampled(rom, ix, synthHist(ix), 64, 5e8)
-	root := NewSpan("run", "composite", 0, 1e9)
-	ws := root.Add(NewSpan("workload", "TIMESHARING-A", 0, 5e8))
-	FlowSpans(ws, p, 4)
-	if len(ws.Children) == 0 {
-		t.Fatal("no flow spans synthesized")
-	}
-	var total float64
-	for _, c := range ws.Children {
-		if c.Kind != "flow" {
-			t.Fatalf("child kind %q", c.Kind)
-		}
-		total += c.DurNs
-	}
-	if math.Abs(total-ws.DurNs)/ws.DurNs > 1e-6 {
-		t.Fatalf("flow spans cover %v of %v ns", total, ws.DurNs)
-	}
-
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, root); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &parsed); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v", err)
-	}
-	if len(parsed.TraceEvents) < 2+len(ws.Children) {
-		t.Fatalf("chrome trace has %d events", len(parsed.TraceEvents))
-	}
-
-	var jsonl bytes.Buffer
-	if err := WriteJSONL(&jsonl, root); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&jsonl)
-	rows := 0
-	for sc.Scan() {
-		var row map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("jsonl row %d invalid: %v", rows, err)
-		}
-		if _, ok := row["path"]; !ok {
-			t.Fatalf("row %d missing path", rows)
-		}
-		rows++
-	}
-	if rows != 2+len(ws.Children) {
-		t.Fatalf("jsonl rows = %d", rows)
 	}
 }
 

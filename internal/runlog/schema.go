@@ -189,33 +189,52 @@ var wallKeys = []string{"time", "host"}
 // configuration must strip to identical bytes regardless of
 // parallelism.
 func StripWallClock(data []byte) ([]byte, error) {
+	return StripKeys(data, wallKeys)
+}
+
+// StripKeys is the one JSONL canonicalizer behind StripWallClock and
+// obs.StripWall: every non-empty line (see Lines) is parsed as a JSON
+// object, the given top-level keys are deleted, and the rest is
+// re-encoded with sorted keys, one record per line. A line that is not
+// a JSON object — a torn final record included — is an error, never a
+// silently shorter stream.
+func StripKeys(data []byte, keys []string) ([]byte, error) {
 	var out bytes.Buffer
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	for n, line := range Lines(data) {
 		var rec map[string]any
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+			return nil, fmt.Errorf("line %d: %w", n+1, err)
 		}
-		for _, k := range wallKeys {
+		for _, k := range keys {
 			delete(rec, k)
 		}
 		// encoding/json sorts map keys, giving the canonical order.
 		enc, err := json.Marshal(rec)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+			return nil, fmt.Errorf("line %d: %w", n+1, err)
 		}
 		out.Write(enc)
 		out.WriteByte('\n')
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return out.Bytes(), nil
+}
+
+// Lines splits JSONL data into its non-empty lines, whitespace
+// trimmed. An unterminated final line is kept: readers that must
+// tolerate a torn tail (journal replay) drop it themselves, and
+// everything else then fails on it loudly.
+func Lines(data []byte) [][]byte {
+	var lines [][]byte
+	for len(data) > 0 {
+		line := data
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			line, data = data[:nl], data[nl+1:]
+		} else {
+			data = nil
+		}
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			lines = append(lines, line)
+		}
+	}
+	return lines
 }

@@ -11,7 +11,6 @@ package vax780
 // Results.Profile. Both report the same Profile format.
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -35,10 +34,6 @@ type FlowCost = prof.FlowCost
 // ReadCalibration.
 type Calibration = prof.Calibration
 
-// Span is one node of the profiler's wall-time tree (sweep → run →
-// workload → flow).
-type Span = prof.Span
-
 // ReadCalibration loads a calibration written by vaxprof -calib-out.
 func ReadCalibration(r io.Reader) (*Calibration, error) {
 	return prof.ReadCalibration(r)
@@ -58,7 +53,13 @@ func flowIndex() *ulint.FlowIndex {
 // folds the samples in (in workload order, so the sampled histogram is
 // bit-exact across Parallelism) and publishes a cumulative Profile for
 // the telemetry /prof endpoint and vaxtop. After Run returns, Profile
-// holds the whole run and SpanTree the measured wall-time hierarchy.
+// holds the whole run.
+//
+// The profiler keeps no span tree of its own: a run that also sets
+// RunConfig.Trace gets the profiler clock's wall placements on its run
+// and workload spans, and that one trace — exact flows, schema-checked
+// by obs.ValidateSpans — is what obs.WriteChromeTrace and
+// Recorder.WriteJSONL export.
 //
 // A Profiler instance serves one Run at a time; Run resets it on entry,
 // so reusing one across sequential runs is fine, sharing one across
@@ -74,26 +75,17 @@ type Profiler struct {
 	// measured wall time by share and does not need one.
 	Calibration *Calibration
 
-	// MaxFlows bounds the hot-flow lists in the ledger event and the
-	// span tree (default 10; the full flow set is always in Profile).
+	// MaxFlows bounds the hot-flow list of the ledger's prof event
+	// (default 10; the full flow set is always in Profile). A run
+	// trace's flow children are its exact top flows, independent of
+	// every Profiler setting.
 	MaxFlows int
 
-	// Trace, when non-nil, receives the span tree as Chrome trace-event
-	// JSON (chrome://tracing, Perfetto) when the run finishes.
-	Trace io.Writer
-
-	// Spans, when non-nil, receives the span tree as JSONL rows — one
-	// span per line with its slash-joined path — alongside the runlog.
-	Spans io.Writer
-
-	mu      sync.Mutex
-	clock   *runlog.Clock
-	agg     upc.Histogram // summed sampled counts, merged in workload order
-	samples uint64
-	wallNs  float64      // summed measured workload durations
-	wl      []*prof.Span // workload spans in merge order
-	root    *prof.Span   // set by finishRun
-	latest  atomic.Pointer[prof.Profile]
+	mu     sync.Mutex
+	clock  *runlog.Clock
+	agg    upc.Histogram // summed sampled counts, merged in workload order
+	wallNs float64       // summed measured workload durations
+	latest atomic.Pointer[prof.Profile]
 }
 
 // stride resolves the sampling period.
@@ -118,10 +110,7 @@ func (p *Profiler) begin() {
 	defer p.mu.Unlock()
 	p.clock = runlog.NewClock()
 	p.agg = upc.Histogram{}
-	p.samples = 0
 	p.wallNs = 0
-	p.wl = nil
-	p.root = nil
 	p.latest.Store(nil)
 }
 
@@ -141,53 +130,27 @@ func (p *Profiler) nowNs() float64 {
 
 // noteWorkload folds one completed workload into the profile: its
 // sampled histogram (deterministic — the sample set is a pure function
-// of the cycle stream and the stride), its measured duration, and its
-// span with synthesized flow children. Called by the merge, in workload
-// order, which is what keeps the aggregate bit-exact across -j.
-func (p *Profiler) noteWorkload(name string, samp *upc.Sampler, startNs, endNs float64) {
+// of the cycle stream and the stride) and its measured duration.
+// Called by the merge, in workload order, which is what keeps the
+// aggregate bit-exact across -j.
+func (p *Profiler) noteWorkload(samp *upc.Sampler, startNs, endNs float64) {
 	if p == nil || samp == nil {
 		return
 	}
-	snap := samp.Snapshot()
-	dur := endNs - startNs
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.agg.Add(snap)
-	p.samples += samp.Taken()
-	p.wallNs += dur
-
-	ws := prof.NewSpan("workload", name, startNs, dur)
-	wp := prof.Sampled(machineROM(), flowIndex(), snap, p.stride(), dur)
-	prof.FlowSpans(ws, wp, p.maxFlows())
-	p.wl = append(p.wl, ws)
-
+	p.agg.Add(samp.Snapshot())
+	p.wallNs += endNs - startNs
 	p.latest.Store(prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs))
 }
 
-// finishRun closes the run: builds the final profile and the span tree,
-// and writes the Trace / Spans exports when configured.
-func (p *Profiler) finishRun(label string) (*prof.Profile, error) {
+// finishRun closes the run and publishes the final profile.
+func (p *Profiler) finishRun() *prof.Profile {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	final := prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs)
 	p.latest.Store(final)
-	root := prof.NewSpan("run", label, 0, p.clock.Ns())
-	for _, ws := range p.wl {
-		root.Add(ws)
-	}
-	p.root = root
-	p.mu.Unlock()
-
-	if p.Trace != nil {
-		if err := prof.WriteChromeTrace(p.Trace, root); err != nil {
-			return nil, fmt.Errorf("vax780: writing profile trace: %w", err)
-		}
-	}
-	if p.Spans != nil {
-		if err := prof.WriteJSONL(p.Spans, root); err != nil {
-			return nil, fmt.Errorf("vax780: writing profile spans: %w", err)
-		}
-	}
-	return final, nil
+	return final
 }
 
 // Profile returns the latest published profile: cumulative while the
@@ -196,14 +159,6 @@ func (p *Profiler) finishRun(label string) (*prof.Profile, error) {
 // any goroutine.
 func (p *Profiler) Profile() *Profile {
 	return p.latest.Load()
-}
-
-// SpanTree returns the run's measured wall-time hierarchy (run →
-// workload → flow). Nil until Run returns.
-func (p *Profiler) SpanTree() *Span {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.root
 }
 
 // latestAny is the telemetry /prof closure (a typed nil must become an

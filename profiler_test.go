@@ -4,8 +4,8 @@ package vax780
 // bit-exact across Parallelism (cycle-driven sampling, workload-order
 // merge), the exact engine's attribution is byte-identical seq↔par,
 // the two engines agree on the hot flows, the /prof endpoint serves
-// the live profile, the span exports carry the run→workload→flow
-// hierarchy, and FlightDepth validation rejects non-power-of-two
+// the live profile, a profiled run's trace carries the run→workload→
+// flow hierarchy on the wall clock, and FlightDepth validation rejects non-power-of-two
 // rings up front.
 
 import (
@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 )
 
@@ -188,53 +189,96 @@ func TestProfEndpointServesProfile(t *testing.T) {
 	}
 }
 
-// TestProfilerSpanExports: the span tree has the run → workload → flow
-// shape and both export formats carry it.
+// TestProfilerSpanExports: a traced, profiled run at Parallelism 2
+// exports one span model — the run trace — and the profiler's clock
+// places it. The JSONL is schema-valid with wall placements on the run
+// and workload spans, and the Chrome layout nests every flow inside
+// its workload's measured window, covers every workload with the run
+// event, and never puts two concurrent workloads on one track.
 func TestProfilerSpanExports(t *testing.T) {
-	var trace, spans bytes.Buffer
-	p := &Profiler{Trace: &trace, Spans: &spans}
-	ids := []WorkloadID{TimesharingA, RTEEducational}
+	ids := []WorkloadID{TimesharingA, RTEScientific}
+	rec := obs.NewRecorder("prof-spans")
 	if _, err := Run(RunConfig{
 		Instructions: 1500,
 		Workloads:    ids,
-		Profiler:     p,
+		Parallelism:  2,
+		Profiler:     &Profiler{},
+		Trace:        rec,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	root := p.SpanTree()
-	if root == nil || root.Kind != "run" {
-		t.Fatalf("span root = %+v, want a run span", root)
+	var spans bytes.Buffer
+	if err := rec.WriteJSONL(&spans); err != nil {
+		t.Fatal(err)
 	}
-	if len(root.Children) != len(ids) {
-		t.Fatalf("run span has %d children, want %d workloads", len(root.Children), len(ids))
+	if err := obs.ValidateSpans(spans.Bytes()); err != nil {
+		t.Fatalf("span JSONL fails the schema: %v", err)
 	}
-	for _, ws := range root.Children {
-		if ws.Kind != "workload" {
-			t.Errorf("child span kind %q, want workload", ws.Kind)
+	rows := obs.Flatten(rec.TraceID(), rec.Root())
+	workloads := 0
+	for _, row := range rows {
+		switch row.Kind {
+		case "run", "workload":
+			if row.DurNs <= 0 {
+				t.Errorf("%s span %q carries no wall placement", row.Kind, row.Name)
+			}
+			if row.Kind == "workload" {
+				workloads++
+			}
 		}
-		if len(ws.Children) == 0 {
-			t.Errorf("workload span %q has no flow children", ws.Name)
-		}
+	}
+	if workloads != len(ids) {
+		t.Fatalf("trace has %d workload spans, want %d", workloads, len(ids))
 	}
 
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	var chrome bytes.Buffer
+	if err := obs.WriteChromeTrace(&chrome, rec.TraceID(), rec.Root()); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(trace.Bytes(), &chrome); err != nil {
+	var parsed struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Tid  int     `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &parsed); err != nil {
 		t.Fatalf("Chrome trace is not JSON: %v", err)
 	}
-	if len(chrome.TraceEvents) < len(ids)+1 {
-		t.Errorf("Chrome trace has %d events", len(chrome.TraceEvents))
+	evs := parsed.TraceEvents
+	if len(evs) != len(rows) {
+		t.Fatalf("Chrome trace has %d events for %d spans", len(evs), len(rows))
 	}
-	lines := strings.Split(strings.TrimSpace(spans.String()), "\n")
-	if len(lines) < len(ids)+1 {
-		t.Errorf("span JSONL has %d rows", len(lines))
+	// Events come out in row order, so a row's parent ID locates the
+	// parent's event.
+	at := make(map[string]int, len(rows))
+	for i, row := range rows {
+		at[row.ID] = i
 	}
-	for _, line := range lines {
-		var row map[string]any
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			t.Fatalf("span JSONL row %q: %v", line, err)
+	const eps = 1e-6 // µs of float slack on window edges
+	var wl []int
+	for i, row := range rows {
+		if row.Parent == "" {
+			continue
+		}
+		p := evs[at[row.Parent]]
+		if c := evs[i]; c.Ts < p.Ts-eps || c.Ts+c.Dur > p.Ts+p.Dur+eps {
+			t.Errorf("%s %q at [%g, %g] escapes its %s parent [%g, %g]",
+				c.Cat, c.Name, c.Ts, c.Ts+c.Dur, p.Cat, p.Ts, p.Ts+p.Dur)
+		}
+		if row.Kind == "workload" {
+			wl = append(wl, i)
+		}
+	}
+	for x := 0; x < len(wl); x++ {
+		for y := x + 1; y < len(wl); y++ {
+			a, b := evs[wl[x]], evs[wl[y]]
+			if a.Ts < b.Ts+b.Dur && b.Ts < a.Ts+a.Dur && a.Tid == b.Tid {
+				t.Errorf("concurrent workloads %q and %q share tid %d", a.Name, b.Name, a.Tid)
+			}
 		}
 	}
 }

@@ -200,10 +200,13 @@ type RunConfig struct {
 	// and hot-flow children (exact bucket attribution via the profiler's
 	// flow index, so the spans decompose the same way Table 8 does).
 	// The recorder's JSONL export is byte-identical across Parallelism
-	// settings; with a Profiler also attached, workload spans gain wall
-	// placements (removed by obs.StripWall). This is how a vaxd job's
-	// bundle gets its trace.jsonl and how /trace/{jobid} splices the
-	// run onto the service spans. Like Events, the field is internal
+	// settings; with a Profiler also attached, the run and workload
+	// spans gain wall placements on the profiler's clock (removed by
+	// obs.StripWall), and obs.WriteChromeTrace lays each workload's
+	// flows out across its measured window. This trace is the only span
+	// model: it is how a vaxd job's bundle gets its trace.jsonl, how
+	// /trace/{jobid} splices the run onto the service spans, and what
+	// vaxprof -chrome/-spans export. Like Events, the field is internal
 	// plumbing (internal/obs) and unusable outside the repository.
 	Trace *obs.Recorder
 
@@ -213,7 +216,8 @@ type RunConfig struct {
 	// published as a cumulative Profile — on the telemetry /prof
 	// endpoint while the run executes, in the ledger's prof event and
 	// run-done summary, and via Profiler.Profile after Run returns.
-	// See Profiler for the span-tree and trace exports.
+	// Combined with Trace, it places the trace's spans on the wall
+	// clock (see Trace).
 	Profiler *Profiler
 
 	// NoFusion once disabled the flow-fusion superword engine, which
@@ -609,7 +613,7 @@ func wrapWorkloadErr(err error) error {
 // workload order.
 func (s *runState) merge(id WorkloadID, one *oneRun, retries int, plan *faults.Plan) error {
 	s.composite.Add(one.hist)
-	s.cfg.Profiler.noteWorkload(id.String(), one.samp, one.profStart, one.profEnd)
+	s.cfg.Profiler.noteWorkload(one.samp, one.profStart, one.profEnd)
 	s.hw.Mem.Add(&one.machine.Mem.Stats)
 	s.hw.IBConsumed += one.machine.IB.Consumed
 	s.res.Retries += retries
@@ -690,10 +694,7 @@ func (s *runState) finish() (*Results, error) {
 	// the run's, and its summary can ride on the run-done record.
 	var profAttrs []slog.Attr
 	if s.cfg.Profiler != nil {
-		p, err := s.cfg.Profiler.finishRun(workloadsLabel(s.cfg.Workloads))
-		if err != nil {
-			return nil, err
-		}
+		p := s.cfg.Profiler.finishRun()
 		if s.led != nil {
 			s.led.Emit(runlog.ProfEvent(p.Engine, p.Stride, p.Samples, p.TotalCycles,
 				profRows(p, s.cfg.Profiler.maxFlows()),
@@ -709,6 +710,11 @@ func (s *runState) finish() (*Results, error) {
 		s.span.SetCycles(cycles).
 			Attr("retries", s.res.Retries).
 			Attr("resumed", s.res.Resumed)
+		// Under a Profiler the run root takes the profiler clock's
+		// window, which encloses every workload's placement.
+		if s.cfg.Profiler != nil {
+			s.span.SetWall(0, s.cfg.Profiler.nowNs())
+		}
 	}
 	if s.led != nil {
 		var instrs, cycles uint64
