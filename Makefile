@@ -36,6 +36,8 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
 # The telemetry-overhead gate; compare against BENCH_telemetry.json.
+# Includes the capped (trace cap hit early) and all (every observer
+# attached) cells.
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 20x -count 3 .
 

@@ -4,12 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotTarget names one function on the per-cycle hot path: the EBOX and
-// IBOX tick functions and the monitor's inlined count pulse, which
-// together run once per simulated 200 ns cycle. Recv is the receiver
-// type name ("" for plain functions).
+// IBOX tick functions, the monitor's inlined count pulse and the
+// telemetry observers' per-cycle hooks, which run once per simulated
+// 200 ns cycle. Recv is the receiver type name ("" for plain
+// functions).
 type HotTarget struct {
 	PkgPath string
 	Recv    string
@@ -24,20 +26,27 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
 	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
+	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},
+	{PkgPath: "vax780/internal/telemetry", Recv: "Tracer", Func: "cycle"},
+	{PkgPath: "vax780/internal/telemetry", Recv: "Recorder", Func: "cycle"},
 }
 
-// HotPathAnalyzer flags heap allocations, defers, goroutine launches and
-// unguarded interface-method calls inside the named hot functions. These
-// functions execute once per simulated cycle — hundreds of millions of
-// times per composite run — so an allocation or an un-devirtualized
-// interface dispatch there is a measured regression (the PR that
-// devirtualized the monitor hook bought ~18% on the cycle loop). Guarded
-// interface calls (`if e.Probe != nil { e.Probe.Cycle(...) }`) are the
-// sanctioned escape hatch for optional hooks.
+// HotPathAnalyzer flags heap allocations, defers, goroutine launches,
+// unguarded interface-method calls and sync/atomic writes inside the
+// named hot functions. These functions execute once per simulated
+// cycle — hundreds of millions of times per composite run — so an
+// allocation or an un-devirtualized interface dispatch there is a
+// measured regression (the PR that devirtualized the monitor hook
+// bought ~18% on the cycle loop). Guarded interface calls
+// (`if e.Probe != nil { e.Probe.Cycle(...) }`) are the sanctioned
+// escape hatch for optional hooks. An atomic read-modify-write or store
+// is a locked instruction per cycle (telemetry's per-cycle counter Add
+// was ~30% of an observed run's CPU); count into a private field and
+// publish it from a colder function instead. Atomic loads stay legal.
 func HotPathAnalyzer(targets []HotTarget) *Analyzer {
 	an := &Analyzer{
 		Name: "hotpath",
-		Doc:  "forbid allocations and unguarded interface calls in per-cycle functions",
+		Doc:  "forbid allocations, unguarded interface calls and atomic writes in per-cycle functions",
 	}
 	an.Run = func(pass *Pass) {
 		want := make(map[[2]string]bool)
@@ -107,8 +116,38 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 					"%s: unguarded interface call %s.%s on the per-cycle path; devirtualize or nil-guard it",
 					name, recv, v.Fun.(*ast.SelectorExpr).Sel.Name)
 			}
+			if fn, ok := atomicWrite(pass.Pkg, v); ok {
+				pass.Reportf(v.Pos(),
+					"%s: atomic %s on the per-cycle path; count privately and publish at a safe point",
+					name, fn)
+			}
 		}
 	})
+}
+
+// atomicWritePrefixes are the sync/atomic operations that write: the
+// read-modify-writes and stores, as functions (AddUint64, StoreInt32,
+// CompareAndSwapPointer, ...) and as methods of the atomic types
+// (Uint64.Add, Bool.Store, Pointer[T].Swap, ...).
+var atomicWritePrefixes = []string{"Add", "Store", "Swap", "CompareAndSwap", "Or", "And"}
+
+// atomicWrite reports whether call is a sync/atomic write, by function
+// or method, and returns the operation's name.
+func atomicWrite(pkg *Package, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return "", false
+	}
+	for _, p := range atomicWritePrefixes {
+		if strings.HasPrefix(fn.Name(), p) {
+			return fn.Name(), true
+		}
+	}
+	return "", false
 }
 
 func isStringType(pkg *Package, e ast.Expr) bool {

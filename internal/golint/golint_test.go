@@ -128,6 +128,51 @@ func (m *M) tick() {
 	}
 }
 
+const atomicSrc = `package p
+
+import "sync/atomic"
+
+type M struct {
+	c    atomic.Uint64
+	on   atomic.Bool
+	p    atomic.Pointer[int]
+	raw  uint64
+	seen uint64
+}
+
+func (m *M) tick() {
+	m.c.Add(1)
+	atomic.AddUint64(&m.raw, 1)
+	m.on.Store(true)
+	m.p.Swap(nil)
+	atomic.CompareAndSwapUint64(&m.raw, 1, 2)
+}
+
+func (m *M) poll() {
+	m.seen = m.c.Load() + atomic.LoadUint64(&m.raw)
+	if m.on.Load() && m.p.Load() != nil {
+		m.seen++
+	}
+}
+`
+
+func TestHotPathAtomicWrites(t *testing.T) {
+	an := HotPathAnalyzer([]HotTarget{{PkgPath: "p", Recv: "M", Func: "tick"}})
+	wantMsgs(t, runOn(t, atomicSrc, an),
+		"atomic Add on the per-cycle path",
+		"atomic AddUint64 on the per-cycle path",
+		"atomic Store on the per-cycle path",
+		"atomic Swap on the per-cycle path",
+		"atomic CompareAndSwapUint64 on the per-cycle path")
+}
+
+func TestHotPathAtomicLoadsAllowed(t *testing.T) {
+	an := HotPathAnalyzer([]HotTarget{{PkgPath: "p", Recv: "M", Func: "poll"}})
+	if diags := runOn(t, atomicSrc, an); len(diags) != 0 {
+		t.Fatalf("atomic loads should be clean, got %v", diags)
+	}
+}
+
 func TestHotPathOtherPackageIgnored(t *testing.T) {
 	an := HotPathAnalyzer([]HotTarget{{PkgPath: "q", Recv: "M", Func: "slow"}})
 	if diags := runOn(t, hotSrc, an); len(diags) != 0 {

@@ -98,10 +98,15 @@ type Config struct {
 	Sampler *upc.Sampler
 
 	// Progress, when non-nil, receives this machine's live position:
-	// instructions retired and cycles simulated, stored atomically once
-	// per trace item (never per cycle — the cycle loop stays clean).
+	// instructions retired and cycles simulated, stored atomically by
+	// Run and RunIntervals every 64 items and at stream end (and on
+	// error), never per cycle — the cycle loop stays clean.
 	Progress *ProgressCell
 }
+
+// progressStride is how many trace items Run and RunIntervals execute
+// between ProgressCell publishes (a power of two: the test is a mask).
+const progressStride = 64
 
 // ProgressCell is the machine's live-progress mailbox: written by the
 // running machine's goroutine, read by the progress tracker's sampler.
@@ -252,16 +257,19 @@ func (m *Machine) setProcess(asid uint32) {
 
 // Run executes the whole stream.
 func (m *Machine) Run(s workload.Stream) error {
-	for {
+	for n := uint64(1); ; n++ {
 		it, ok := s.Next()
 		if !ok {
+			m.progress.Set(m.Stats.Instrs, m.E.Now)
 			return nil
 		}
 		if err := m.Step(it); err != nil {
 			m.progress.Set(m.Stats.Instrs, m.E.Now)
 			return err
 		}
-		m.progress.Set(m.Stats.Instrs, m.E.Now)
+		if n&(progressStride-1) == 0 {
+			m.progress.Set(m.Stats.Instrs, m.E.Now)
+		}
 	}
 }
 
@@ -279,15 +287,18 @@ func (m *Machine) RunIntervals(s workload.Stream, interval uint64) ([]*upc.Histo
 	var out []*upc.Histogram
 	prev := m.Mon.Snapshot()
 	next := m.Stats.Instrs + interval
-	for {
+	for n := uint64(1); ; n++ {
 		it, ok := s.Next()
 		if !ok {
 			break
 		}
 		if err := m.Step(it); err != nil {
+			m.progress.Set(m.Stats.Instrs, m.E.Now)
 			return nil, err
 		}
-		m.progress.Set(m.Stats.Instrs, m.E.Now)
+		if n&(progressStride-1) == 0 {
+			m.progress.Set(m.Stats.Instrs, m.E.Now)
+		}
 		if m.Stats.Instrs >= next {
 			cur := m.Mon.Snapshot()
 			out = append(out, cur.Diff(prev))
@@ -295,6 +306,7 @@ func (m *Machine) RunIntervals(s workload.Stream, interval uint64) ([]*upc.Histo
 			next += interval
 		}
 	}
+	m.progress.Set(m.Stats.Instrs, m.E.Now)
 	last := m.Mon.Snapshot().Diff(prev)
 	if last.TotalCycles() > 0 {
 		out = append(out, last)

@@ -518,3 +518,63 @@ func TestObserversSeeEveryCycle(t *testing.T) {
 		t.Error("stride-1 sampled histogram differs from the board's")
 	}
 }
+
+// failingStream yields a trace's items, then one item of unknown kind,
+// which Step rejects.
+type failingStream struct {
+	s      workload.Stream
+	failed bool
+}
+
+func (f *failingStream) Next() (*workload.Item, bool) {
+	if it, ok := f.s.Next(); ok {
+		return it, true
+	}
+	if f.failed {
+		return nil, false
+	}
+	f.failed = true
+	return &workload.Item{Kind: workload.Kind(99)}, true
+}
+
+// TestProgressPublishedAtEnd: Run and RunIntervals publish the progress
+// cell in batches of trace items, but the final value always equals the
+// machine's position, whether the stream ends or a step fails.
+func TestProgressPublishedAtEnd(t *testing.T) {
+	var ins []*vax.Instr
+	for i := 0; i < 150; i++ { // not a multiple of the publish stride
+		ins = append(ins,
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{litSpec(int32(i % 60)), regSpec(1)}},
+			&vax.Instr{Op: vax.NOP})
+	}
+	runs := map[string]func(*Machine, workload.Stream) error{
+		"Run": (*Machine).Run,
+		"RunIntervals": func(m *Machine, s workload.Stream) error {
+			_, err := m.RunIntervals(s, 100)
+			return err
+		},
+	}
+	for name, run := range runs {
+		for _, fail := range []bool{false, true} {
+			tr := layout(t, 0x1000, ins)
+			mon := upc.New()
+			mon.Start()
+			cell := &ProgressCell{}
+			m := New(Config{Mem: mem.Config{}, Monitor: mon, Strict: true, Progress: cell}, tr.Program)
+			var s workload.Stream = tr.Stream()
+			if fail {
+				s = &failingStream{s: s}
+			}
+			if err := run(m, s); (err != nil) != fail {
+				t.Fatalf("%s (fail %t): err = %v", name, fail, err)
+			}
+			if m.Stats.Instrs != uint64(len(ins)) {
+				t.Fatalf("%s (fail %t): ran %d of %d instructions", name, fail, m.Stats.Instrs, len(ins))
+			}
+			if instrs, cycles := cell.Load(); instrs != m.Stats.Instrs || cycles != m.E.Now {
+				t.Errorf("%s (fail %t): progress %d instrs / %d cycles, machine at %d / %d",
+					name, fail, instrs, cycles, m.Stats.Instrs, m.E.Now)
+			}
+		}
+	}
+}

@@ -103,6 +103,7 @@ func (r *Recorder) roll(t *Telemetry, end uint64) {
 	st := *r.stats
 	st.Sub(&r.prevStats)
 
+	t.PublishCounts()
 	instrs := t.C.Instrs.Load()
 	r.intervals = append(r.intervals, Interval{
 		StartCycle: r.start,

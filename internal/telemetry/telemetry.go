@@ -19,6 +19,11 @@
 // All hook methods are called from the single simulation goroutine; the
 // HTTP side reads only atomics and immutable published snapshots, so a
 // live run can be watched concurrently without locks on the hot path.
+// The hooks themselves touch no atomics per event: they count into
+// fields private to the simulation goroutine, which are published into
+// the live counters every 4096 cycles and at roll/Bind/Finish/board
+// commands (exact once Run returns), and a capped tracer stops being
+// called once its cap has dropped an event.
 package telemetry
 
 import (
@@ -49,7 +54,12 @@ type Options struct {
 }
 
 // Counters are the live atomic event counters. They are safe to read
-// from any goroutine while a run executes.
+// from any goroutine while a run executes. The per-event counts behind
+// them (cycles, stalls, decodes, refills, cache and TB misses) are kept
+// in private fields of the simulation goroutine and published every
+// 4096 cycles and at roll/Bind/Finish/board commands, so a live reader
+// lags by fewer than 4096 cycles; the counters are exact once Run
+// returns.
 type Counters struct {
 	Cycles      atomic.Uint64 // every EBOX cycle
 	StallCycles atomic.Uint64 // read- and write-stalled cycles
@@ -73,6 +83,21 @@ func (c *Counters) CPI() float64 {
 	return float64(c.Cycles.Load()) / float64(in)
 }
 
+// publishPeriod is the absolute-cycle period at which Cycle publishes
+// the private per-event counts into Counters (a power of two: the test
+// is a mask on the cycle number).
+const publishPeriod = 4096
+
+// counts are the per-event counts not yet published into Counters.
+// Only the simulation goroutine touches them, so counting an event is a
+// plain increment, not a locked read-modify-write.
+type counts struct {
+	cycles, stalls, instrs uint64
+	cacheMissD, cacheMissI uint64
+	tbMissD, tbMissI       uint64
+	refills                uint64
+}
+
 // Pending board-command bits (the Unibus CSR writes of the HTTP monitor,
 // applied by the simulation goroutine at the next cycle).
 const (
@@ -92,6 +117,7 @@ const (
 // machine-level events (decode, interrupt, context switch) directly.
 type Telemetry struct {
 	C Counters
+	n counts // unpublished share of C (simulation goroutine only)
 
 	rom *urom.ROM
 	rec *Recorder
@@ -159,6 +185,7 @@ func (t *Telemetry) ROM() *urom.ROM { return t.rom }
 // timeline continues across binds. Any partial recorder interval of the
 // previous machine is closed first.
 func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) {
+	t.PublishCounts()
 	if t.rec != nil {
 		t.rec.flush(t, t.maxAbs)
 		t.rec.rebind(mon, stats, t.maxAbs)
@@ -207,6 +234,7 @@ func (t *Telemetry) NewChild() *Telemetry {
 // The child must not be observing concurrently during the call.
 func (t *Telemetry) Absorb(c *Telemetry) {
 	c.Finish()
+	t.PublishCounts()
 	shift := t.maxAbs
 	t.C.Cycles.Add(c.C.Cycles.Load())
 	t.C.StallCycles.Add(c.C.StallCycles.Load())
@@ -238,6 +266,7 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 // harmless. After Finish the recorded series and trace are complete up
 // to the last observed cycle.
 func (t *Telemetry) Finish() {
+	t.PublishCounts()
 	if t.finished {
 		return
 	}
@@ -251,6 +280,34 @@ func (t *Telemetry) Finish() {
 	t.publishStatus()
 }
 
+// PublishCounts adds the private per-event counts into Counters. The
+// simulation goroutine calls it every publishPeriod cycles and at each
+// safe point (interval roll, Bind, Finish, Absorb, board command); a
+// run that fails calls it on the way out, so the counters are exact
+// whenever no machine is executing.
+func (t *Telemetry) PublishCounts() {
+	n := &t.n
+	t.C.Cycles.Add(n.cycles)
+	t.C.StallCycles.Add(n.stalls)
+	t.C.Instrs.Add(n.instrs)
+	t.C.CacheMissD.Add(n.cacheMissD)
+	t.C.CacheMissI.Add(n.cacheMissI)
+	t.C.TBMissD.Add(n.tbMissD)
+	t.C.TBMissI.Add(n.tbMissI)
+	t.C.IBRefills.Add(n.refills)
+	*n = counts{}
+}
+
+// tracing returns the tracer while it still retains events. Truncation
+// is sticky and every later event would be dropped, so a capped tracer
+// is not called at all once it has dropped one.
+func (t *Telemetry) tracing() *Tracer {
+	if t.tr != nil && !t.tr.truncated {
+		return t.tr
+	}
+	return nil
+}
+
 // --- probe methods (simulation goroutine, hot path) ---
 
 // Cycle observes one EBOX cycle: the same observation point as the UPC
@@ -259,9 +316,12 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	abs := now + t.offset
 	t.maxAbs = abs + 1
 	t.finished = false
-	t.C.Cycles.Add(1)
+	t.n.cycles++
 	if stalled {
-		t.C.StallCycles.Add(1)
+		t.n.stalls++
+	}
+	if abs&(publishPeriod-1) == publishPeriod-1 {
+		t.PublishCounts()
 	}
 	if cmd := t.cmd.Load(); cmd != 0 {
 		t.applyCmd(cmd, abs)
@@ -269,8 +329,8 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	if t.rec != nil {
 		t.rec.cycle(t, abs)
 	}
-	if t.tr != nil {
-		t.tr.cycle(abs, addr, stalled)
+	if tr := t.tracing(); tr != nil {
+		tr.cycle(abs, addr, stalled)
 	}
 }
 
@@ -278,50 +338,50 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 // ibox probes: the D-stream microtrap and the I-stream miss flag).
 func (t *Telemetry) TBMiss(now uint64, istream bool, va uint32) {
 	if istream {
-		t.C.TBMissI.Add(1)
+		t.n.tbMissI++
 	} else {
-		t.C.TBMissD.Add(1)
+		t.n.tbMissD++
 	}
-	if t.tr != nil {
-		t.tr.tbMiss(now+t.offset, istream, va)
+	if tr := t.tracing(); tr != nil {
+		tr.tbMiss(now+t.offset, istream, va)
 	}
 }
 
 // CacheMiss observes a cache read miss. Implements the mem Probe.
 func (t *Telemetry) CacheMiss(now uint64, istream bool, pa uint32, stall int) {
 	if istream {
-		t.C.CacheMissI.Add(1)
+		t.n.cacheMissI++
 	} else {
-		t.C.CacheMissD.Add(1)
+		t.n.cacheMissD++
 	}
 }
 
 // Refill observes an IB refill reference. Implements the ibox Probe.
 func (t *Telemetry) Refill(now uint64, va uint32, latency int, miss bool) {
-	t.C.IBRefills.Add(1)
+	t.n.refills++
 }
 
 // Instr observes an instruction decode (machine-level event).
 func (t *Telemetry) Instr(now uint64, pc uint32, op vax.Opcode) {
-	t.C.Instrs.Add(1)
-	if t.tr != nil {
-		t.tr.instr(now+t.offset, pc, op)
+	t.n.instrs++
+	if tr := t.tracing(); tr != nil {
+		tr.instr(now+t.offset, pc, op)
 	}
 }
 
 // Interrupt observes an interrupt delivery (machine-level event).
 func (t *Telemetry) Interrupt(now uint64, handler uint32) {
 	t.C.Interrupts.Add(1)
-	if t.tr != nil {
-		t.tr.interrupt(now+t.offset, handler)
+	if tr := t.tracing(); tr != nil {
+		tr.interrupt(now+t.offset, handler)
 	}
 }
 
 // CtxSwitch observes a context switch (machine-level event).
 func (t *Telemetry) CtxSwitch(now uint64, from, to uint32) {
 	t.C.CtxSwitches.Add(1)
-	if t.tr != nil {
-		t.tr.ctxSwitch(now+t.offset, from, to)
+	if tr := t.tracing(); tr != nil {
+		tr.ctxSwitch(now+t.offset, from, to)
 	}
 }
 
@@ -354,6 +414,7 @@ func (t *Telemetry) orCmd(bit uint32) {
 }
 
 func (t *Telemetry) applyCmd(cmd uint32, abs uint64) {
+	t.PublishCounts()
 	t.cmd.Store(0)
 	if t.mon == nil {
 		return
@@ -433,7 +494,7 @@ func DescribeProbes() string {
   machine.deliverInterrupt -> Interrupt(now, pc)   interrupt delivery
   machine LDPCTX     -> CtxSwitch(now, from, to)   context switch
 consumers:
-  Counters           live atomics: /metrics, expvar
+  Counters           live atomics, published every 4096 cycles and at safe points: /metrics, expvar
   Recorder           per-N-cycle UPC+mem snapshots -> interval CPI series (CSV/JSON)
   Tracer             Chrome trace_event JSON (chrome://tracing, Perfetto)
   board registers    /board/{start,stop,clear,read,csr} (Unibus CSR mirror)`

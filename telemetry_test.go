@@ -3,9 +3,12 @@ package vax780
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +176,167 @@ func TestTelemetryExportsAndHandler(t *testing.T) {
 	}
 	if _, ok := tf["traceEvents"].([]any); !ok {
 		t.Error("trace lacks traceEvents array")
+	}
+}
+
+// traceOf runs the three-workload composite at -j with a trace cap and
+// returns its Chrome trace's events and otherData.truncated flag.
+func traceOf(t *testing.T, j, maxEvents int) ([]json.RawMessage, bool) {
+	t.Helper()
+	tel := NewTelemetry(0, maxEvents)
+	cfg := RunConfig{
+		Instructions: 1000,
+		Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
+		Parallelism:  j,
+		Telemetry:    tel,
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tel.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		OtherData   struct {
+			Truncated bool `json:"truncated"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	return tf.TraceEvents, tf.OtherData.Truncated
+}
+
+// TestTraceCapIsPrefix: a capped trace is the uncapped trace cut after
+// its first events, and is flagged truncated exactly when the cut lost
+// something. This is the contract that lets a capped tracer stop
+// observing once its cap drops an event. A cap equal to the uncapped
+// length retains everything and must not be flagged.
+func TestTraceCapIsPrefix(t *testing.T) {
+	for _, j := range []int{1, 2, 4} {
+		full, fullTrunc := traceOf(t, j, -1)
+		if fullTrunc {
+			t.Fatalf("-j %d: uncapped trace flagged truncated", j)
+		}
+		for _, limit := range []int{1, 300, 20000, len(full)} {
+			got, trunc := traceOf(t, j, limit)
+			if len(got) > len(full) {
+				t.Fatalf("-j %d cap %d: %d events, uncapped has %d", j, limit, len(got), len(full))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], full[i]) {
+					t.Fatalf("-j %d cap %d: event %d differs from the uncapped trace:\n%s\n%s",
+						j, limit, i, got[i], full[i])
+				}
+			}
+			if want := len(full) > len(got); trunc != want {
+				t.Errorf("-j %d cap %d: truncated = %t with %d of %d events kept",
+					j, limit, trunc, len(got), len(full))
+			}
+		}
+	}
+}
+
+// TestLiveCountersMonotonic: a reader polling the live counters during
+// a run sees them only grow, and once Run returns they equal the
+// composite histogram's totals. Sequentially the hooks publish their
+// private counts as the machine runs; in parallel the workloads'
+// children are absorbed at merge. Run under -race it also proves the
+// private counts never race with the reader.
+func TestLiveCountersMonotonic(t *testing.T) {
+	for _, j := range []int{1, 2} {
+		tel := NewTelemetry(1500, 0)
+		tel.Counters() // build the layer before the poller reads it
+		stop := make(chan struct{})
+		polled := make(chan error, 1)
+		go func() { polled <- pollCounters(tel, stop) }()
+		res, err := Run(RunConfig{
+			Instructions: 20_000,
+			Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
+			Parallelism:  j,
+			Telemetry:    tel,
+		})
+		close(stop)
+		if perr := <-polled; perr != nil {
+			t.Errorf("-j %d: %v", j, perr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		h := res.Histogram()
+		var stalled uint64
+		for _, n := range h.Stalled {
+			stalled += n
+		}
+		var instrs uint64
+		for _, w := range res.PerWorkload {
+			instrs += w.Instructions
+		}
+		c := tel.Counters()
+		if c.Cycles != h.TotalCycles() {
+			t.Errorf("-j %d: Cycles = %d, histogram total %d", j, c.Cycles, h.TotalCycles())
+		}
+		if c.StallCycles != stalled {
+			t.Errorf("-j %d: StallCycles = %d, histogram stalled total %d", j, c.StallCycles, stalled)
+		}
+		if c.Instrs != instrs {
+			t.Errorf("-j %d: Instrs = %d, workloads retired %d", j, c.Instrs, instrs)
+		}
+	}
+}
+
+// TestLiveCountersExactAfterFailedRun: a sequential run that stops
+// with an error still leaves the live counters exact, holding every
+// event of the workloads that ran. (In parallel the merge absorbs each
+// workload's finished child, which publishes everything.)
+func TestLiveCountersExactAfterFailedRun(t *testing.T) {
+	solo := NewTelemetry(0, 0)
+	if _, err := Run(RunConfig{
+		Instructions: 3000,
+		Workloads:    []WorkloadID{TimesharingA},
+		Telemetry:    solo,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	halted := NewTelemetry(0, 0)
+	_, err := Run(RunConfig{
+		Instructions: 3000,
+		Workloads:    []WorkloadID{TimesharingA, RTEScientific},
+		Parallelism:  1,
+		Telemetry:    halted,
+		haltAfter:    1,
+	})
+	if !errors.Is(err, errRunHalted) {
+		t.Fatalf("err = %v, want the halt after one workload", err)
+	}
+	if got, want := halted.Counters(), solo.Counters(); got != want {
+		t.Errorf("counters after the failed run:\n%+v\nwant the one workload's\n%+v", got, want)
+	}
+}
+
+// pollCounters reads tel's live counters until stop closes and reports
+// the first time one of them decreases.
+func pollCounters(tel *Telemetry, stop <-chan struct{}) error {
+	var prev TelemetryCounters
+	for n := 0; ; n++ {
+		c := tel.Counters()
+		if c.Cycles < prev.Cycles || c.StallCycles < prev.StallCycles ||
+			c.Instrs < prev.Instrs || c.CacheMissD < prev.CacheMissD ||
+			c.CacheMissI < prev.CacheMissI || c.TBMissD < prev.TBMissD ||
+			c.TBMissI < prev.TBMissI || c.IBRefills < prev.IBRefills ||
+			c.Intervals < prev.Intervals {
+			return fmt.Errorf("poll %d: counters went backwards:\nwas %+v\nnow %+v", n, prev, c)
+		}
+		prev = c
+		select {
+		case <-stop:
+			return nil
+		default:
+			runtime.Gosched()
+		}
 	}
 }
 

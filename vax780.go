@@ -529,6 +529,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 		err = s.runSequential()
 	}
 	if err != nil {
+		if s.tel != nil {
+			s.tel.PublishCounts()
+		}
 		s.tracker.Stop()
 		return nil, err
 	}
