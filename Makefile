@@ -51,8 +51,10 @@ bench-faults:
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallelRun|BenchmarkSimulatorThroughput' -benchtime 10x -count 3 .
 
-# The profiler-overhead gate; compare against BENCH_prof.json (the
-# disabled sampler hook must stay within 1% of the fault-era baseline).
+# The profiler-overhead gate; compare against BENCH_prof.json. The
+# profiler has no per-cycle hook: BenchmarkProf/off must stay within 1%
+# of the fault-era baseline, and /on prices attribution at each
+# workload merge (both cells are in CI's recorder-overhead A/B).
 bench-prof:
 	$(GO) test -run xxx -bench BenchmarkProf -benchtime 20x -count 3 .
 

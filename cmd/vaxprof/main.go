@@ -4,14 +4,15 @@
 // control-store flows of the simulated machine — the exact complement
 // of the UPC board, which reports where the *simulated* cycles go.
 //
-// Two engines back the report. The sampling engine rides inside the
-// run (RunConfig.Profiler): every stride-th cycle's micro-PC is
-// classified onto flows and the measured wall time distributed by
-// share. The exact engine prices the run's bit-exact composite
-// histogram with a per-class calibration — the host ns/cycle of each
-// Table 8 cycle class, solved from interleaved per-workload timing
-// probes (each workload weights compute, memory, and stalls
-// differently, so the five runs give five independent equations).
+// One engine backs the report: it prices the UPC board's exact
+// composite histogram with a per-class calibration — the host ns/cycle
+// of each Table 8 cycle class, solved from interleaved per-workload
+// timing probes (each workload weights compute, memory, and stalls
+// differently, so the five runs give five independent equations). The
+// calibrated total is then reconciled against the measured wall time.
+// The Profiler attached to the measured composite (RunConfig.Profiler)
+// reads the same histogram live; it supplies the workload timings and
+// the run ledger's prof event.
 //
 // The span exports are the measured composite's run trace
 // (RunConfig.Trace): run → workload → exact top flows, placed on the
@@ -19,9 +20,9 @@
 //
 // Usage:
 //
-//	vaxprof [-n 50000] [-top 15] [-stride 64]      hot-flow tables, both engines
+//	vaxprof [-n 50000] [-top 15]                   calibrated hot-flow table
 //	vaxprof -diff old.json new.json                compare two saved profiles
-//	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
+//	vaxprof -o prof.json -calib-out cal.json       save the calibrated profile / calibration
 //	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
 //	vaxprof -chrome trace.json -spans spans.jsonl  run trace exports (run→workload→flow)
 //	vaxprof -ledger run.jsonl                      also write the run ledger JSONL
@@ -43,10 +44,9 @@ import (
 func main() {
 	n := flag.Int("n", 50_000, "instructions per workload")
 	top := flag.Int("top", 15, "flows to print")
-	stride := flag.Int("stride", 0, "sampling stride in cycles (0: default 64)")
 	reps := flag.Int("reps", 3, "interleaved timing repetitions per calibration probe")
 	diff := flag.Bool("diff", false, "diff two saved profiles (old.json new.json args) and exit")
-	out := flag.String("o", "", "write the exact-engine profile JSON here")
+	out := flag.String("o", "", "write the calibrated profile JSON here")
 	calibIn := flag.String("calib", "", "load a saved calibration instead of probing")
 	calibOut := flag.String("calib-out", "", "write the solved calibration JSON here")
 	chrome := flag.String("chrome", "", "write the run trace (run→workload→flow) as Chrome trace-event JSON here")
@@ -62,7 +62,7 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
 	}
 
-	if err := run(*n, *top, *stride, *reps,
+	if err := run(*n, *top, *reps,
 		*out, *calibIn, *calibOut, *chrome, *spans, *ledger); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxprof:", err)
 		os.Exit(1)
@@ -95,9 +95,9 @@ func runDiff(oldPath, newPath string, top int) int {
 }
 
 // run is the measurement path: calibrate (or load), run the composite
-// with the sampling profiler attached, print both engines' views, and
-// write whatever exports were requested.
-func run(n, top, stride, reps int,
+// with the profiler attached, print the calibrated table and its
+// reconciliation, and write whatever exports were requested.
+func run(n, top, reps int,
 	out, calibIn, calibOut, chrome, spansPath, ledgerPath string) error {
 
 	// Calibration: load a saved one (skips probing), or solve one from
@@ -117,11 +117,11 @@ func run(n, top, stride, reps int,
 		fmt.Printf("calibration: %s (%d probes, host %s)\n\n", calibIn, c.Probes, c.Host)
 	}
 
-	m, err := measure(n, reps, stride, top, preCal, ledgerPath)
+	m, err := measure(n, reps, top, preCal, ledgerPath)
 	if err != nil {
 		return err
 	}
-	cal, profiler, res, wallNs := m.cal, m.profiler, m.res, m.wallNs
+	cal, res, wallNs := m.cal, m.res, m.wallNs
 
 	if calibOut != "" {
 		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
@@ -132,13 +132,9 @@ func run(n, top, stride, reps int,
 	exact := res.Profile(cal)
 	exact.WallNs = wallNs
 	fmt.Print(exact.Table(top))
-	fmt.Println()
-	if sampled := profiler.Profile(); sampled != nil {
-		fmt.Print(sampled.Table(top))
-	}
 	if exact.WallNs > 0 {
 		err := 100 * (exact.TotalNs - exact.WallNs) / exact.WallNs
-		fmt.Printf("\nreconciliation: exact total %.3f ms vs measured %.3f ms (%+.1f%%)\n",
+		fmt.Printf("\nreconciliation: calibrated total %.3f ms vs measured %.3f ms (%+.1f%%)\n",
 			exact.TotalNs/1e6, exact.WallNs/1e6, err)
 	}
 	return writeExports(m.rec, res, cal, wallNs, out, chrome, spansPath)

@@ -137,8 +137,8 @@ func renderProf(p *vax780.Profile, n int) string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "\n  hot flows (host time, %s engine, %d samples)\n",
-		p.Engine, p.Samples)
+	fmt.Fprintf(&b, "\n  hot flows (host time over %d board-counted cycles)\n",
+		p.TotalCycles)
 	fmt.Fprintf(&b, "  %-24s %12s %7s %10s\n", "FLOW", "CYCLES", "SHARE", "HOST MS")
 	for _, f := range p.Flows {
 		if n--; n < 0 {

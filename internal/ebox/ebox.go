@@ -88,11 +88,6 @@ type EBOX struct {
 	// call devirtualizes; disabled cost is this one pointer test.
 	FR *upc.FlightRecorder
 
-	// Samp, when non-nil, is the host-time profiler's micro-PC sampler:
-	// every stride-th cycle lands in a sampled histogram. Concrete type,
-	// same disabled cost as FR — one pointer test per cycle.
-	Samp *upc.Sampler
-
 	// Now is the cycle counter (200 ns units).
 	Now uint64
 
@@ -176,9 +171,6 @@ func (e *EBOX) tick(addr uint16, stalled, portBusy bool) {
 	}
 	if e.FR != nil {
 		e.FR.Record(e.Now, addr, stalled)
-	}
-	if e.Samp != nil {
-		e.Samp.Sample(addr, stalled)
 	}
 	e.IB.Tick(e.Now, !portBusy)
 	e.Now++

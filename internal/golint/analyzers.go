@@ -25,7 +25,6 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
-	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Tracer", Func: "cycle"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Recorder", Func: "cycle"},

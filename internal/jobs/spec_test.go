@@ -117,6 +117,8 @@ func TestSpecValidateHardware(t *testing.T) {
 		{CacheBytes: 3},
 		{Points: []Point{{Label: "ok"}, {Label: "3-way", CacheWays: 3}}},
 		{Points: []Point{{Label: "7-entry TB", TBEntries: 7}}},
+		{CtxSwitchHeadway: -1},
+		{Points: []Point{{Label: "ok"}, {Label: "negative headway", CtxSwitchHeadway: -1}}},
 	} {
 		err := spec.Validate()
 		if !errors.Is(err, vax780.ErrBadConfig) {

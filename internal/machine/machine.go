@@ -93,10 +93,6 @@ type Config struct {
 	// EBOX (one pointer test per cycle when absent).
 	Flight *upc.FlightRecorder
 
-	// Sampler, when non-nil, attaches the host-time profiler's micro-PC
-	// sampler to the EBOX (same disabled cost as Flight).
-	Sampler *upc.Sampler
-
 	// Progress, when non-nil, receives this machine's live position:
 	// instructions retired and cycles simulated, stored atomically by
 	// Run and RunIntervals every 64 items and at stream end (and on
@@ -233,7 +229,6 @@ func New(cfg Config, prog *workload.Program) *Machine {
 		m.E.CheckFaults = true
 	}
 	m.E.FR = cfg.Flight
-	m.E.Samp = cfg.Sampler
 	m.progress = cfg.Progress
 	m.setProcess(1)
 	return m

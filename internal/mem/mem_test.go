@@ -246,7 +246,7 @@ func TestQuickCacheNeverPanicsAndMissRateSane(t *testing.T) {
 	misses := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		// A longword-strided walk over 64 KB: sequential longwords share
+		// A walk over 64 KB in longword steps: sequential longwords share
 		// 8-byte blocks (hits) while the 8×-cache working set forces
 		// steady misses on block boundaries.
 		pa := uint32((i * 4) % (64 << 10))

@@ -6,24 +6,19 @@
 // "where do the *simulated* cycles go", this package answers "where
 // does the *simulator's own* time go".
 //
-// Two engines share one report format:
+// One engine (Exact) prices every histogram bucket: the bucket is
+// assigned to its owning control-store flow and Table 8 cycle class,
+// and a calibration assigns each class a host cost in ns/cycle. The
+// calibration is either solved from interleaved A/B timings of runs
+// with different class mixes (see Solve) or the run's own measured mean
+// (Uniform(wall/cycles)), which gives each flow its cycle share of the
+// wall time — what the live Profiler publishes. The input histogram is
+// the UPC board's exact count, bit-exact across -j, so the attribution
+// is deterministic: same histogram, same calibration, same profile,
+// byte for byte.
 //
-//   - The exact engine (Exact) prices every histogram bucket: a
-//     calibration assigns each Table 8 cycle class a host cost in
-//     ns/cycle (solved from interleaved A/B timings of runs with
-//     different class mixes, see Solve), and the run's composite bucket
-//     histogram — which is bit-exact across -j — multiplies through it.
-//     The result is deterministic: same histogram, same calibration,
-//     same profile, byte for byte.
-//
-//   - The sampling engine (Sampled) prices what a upc.Sampler observed
-//     live: every stride-th cycle's micro-PC, classified through the
-//     same flow index and BucketCell map, scaled to the measured wall
-//     time of the run. It costs one nil test per cycle when off and a
-//     countdown decrement when on.
-//
-// Both classify through ulint's flow index, so profiling and the
-// static analyzer cannot disagree about flow boundaries.
+// The engine classifies through ulint's flow index, so profiling and
+// the static analyzer cannot disagree about flow boundaries.
 package prof
 
 import (
@@ -45,8 +40,7 @@ type FlowCost struct {
 	Name  string `json:"name"`
 	Entry uint16 `json:"entry"`
 
-	// Cycles attributed to the flow: exact bucket counts (exact engine)
-	// or samples × stride (sampling engine).
+	// Cycles attributed to the flow: its exact bucket counts.
 	Cycles uint64 `json:"cycles"`
 
 	// ClassCycles splits Cycles over the six Table 8 cycle classes.
@@ -55,17 +49,13 @@ type FlowCost struct {
 	// Share is Cycles over the profile's total (including unattributed).
 	Share float64 `json:"share"`
 
-	// Ns estimates the host nanoseconds the flow cost: class cycles
-	// priced by the calibration (exact) or the flow's share of the
-	// measured wall time (sampling). Zero when neither was available.
+	// Ns estimates the host nanoseconds the flow cost: its class cycles
+	// priced by the calibration. Zero when the profile was not priced.
 	Ns float64 `json:"ns,omitempty"`
 }
 
-// Profile is the shared report format of both engines.
+// Profile is the attribution report.
 type Profile struct {
-	// Engine is "exact" or "sampling".
-	Engine string `json:"engine"`
-
 	// TotalCycles counts every cycle the input histogram holds,
 	// attributed or not.
 	TotalCycles uint64 `json:"total_cycles"`
@@ -73,15 +63,11 @@ type Profile struct {
 	// Unattributed counts cycles on words no flow owns.
 	Unattributed uint64 `json:"unattributed,omitempty"`
 
-	// Stride and Samples describe the sampling engine's input (zero for
-	// the exact engine). TotalCycles is then Samples × Stride.
-	Stride  int    `json:"stride,omitempty"`
-	Samples uint64 `json:"samples,omitempty"`
-
 	// WallNs is the measured wall time of the profiled run, when the
-	// caller had one; TotalNs is the sum of attributed flow ns. For the
-	// exact engine the two reconciling is the calibration's validity
-	// check; for the sampling engine TotalNs is WallNs by construction.
+	// caller had one; TotalNs is the sum of attributed flow ns. Under a
+	// solved calibration the two reconciling is its validity check;
+	// under the run's own mean (the live Profiler) TotalNs is WallNs by
+	// construction.
 	WallNs  float64 `json:"wall_ns,omitempty"`
 	TotalNs float64 `json:"total_ns,omitempty"`
 
@@ -126,11 +112,7 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 // Table renders the top-n hot-flow table.
 func (p *Profile) Table(n int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "hot flows (%s engine", p.Engine)
-	if p.Engine == "sampling" {
-		fmt.Fprintf(&b, ", %d samples × stride %d", p.Samples, p.Stride)
-	}
-	b.WriteString(")\n")
+	b.WriteString("hot flows\n")
 	fmt.Fprintf(&b, "%4s  %-22s %6s  %12s %7s  %12s\n",
 		"#", "flow", "entry", "cycles", "share", "est host ns")
 	for i, f := range p.Top(n) {
@@ -156,9 +138,8 @@ func (p *Profile) Table(n int) string {
 	return b.String()
 }
 
-// attribute is the shared classification walk of both engines: price
-// every bucket of h, assign it to its owning flow and Table 8 class.
-// Flows come out hottest first.
+// attribute is the classification walk: assign every bucket of h to
+// its owning flow and Table 8 class. Flows come out hottest first.
 func attribute(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	flows := ix.Flows()
 	costs := make([]FlowCost, len(flows))
@@ -214,13 +195,11 @@ func attribute(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	return p
 }
 
-// Exact runs the exact engine: attribute the run's bucket histogram to
-// flows and price it with the calibration (nil: cycles and shares only).
+// Exact attributes the run's bucket histogram to flows and prices it with the calibration (nil: cycles and shares only).
 // The input histogram is bit-exact across -j, the flow index and the
 // calibration are fixed inputs, so the profile is deterministic.
 func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, cal *Calibration) *Profile {
 	p := attribute(rom, ix, h)
-	p.Engine = "exact"
 	if cal != nil {
 		for i := range p.Flows {
 			p.Flows[i].Ns = cal.Price(p.Flows[i].ClassCycles)
@@ -231,33 +210,6 @@ func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, cal *Calibratio
 		if p.Unattributed > 0 && p.TotalCycles > p.Unattributed {
 			attributed := p.TotalCycles - p.Unattributed
 			p.TotalNs += float64(p.Unattributed) * p.TotalNs / float64(attributed)
-		}
-	}
-	return p
-}
-
-// Sampled runs the sampling engine over a sampler's snapshot: each
-// sample stands for stride cycles, and the measured wall time (when
-// wallNs > 0) is distributed over flows by their sampled share.
-func Sampled(rom *urom.ROM, ix *ulint.FlowIndex, snap *upc.Histogram, stride int, wallNs float64) *Profile {
-	if stride <= 0 {
-		stride = upc.DefaultSampleStride
-	}
-	p := attribute(rom, ix, snap)
-	p.Engine = "sampling"
-	p.Stride = stride
-	p.Samples = p.TotalCycles
-	p.TotalCycles *= uint64(stride)
-	p.Unattributed *= uint64(stride)
-	p.WallNs = wallNs
-	for i := range p.Flows {
-		p.Flows[i].Cycles *= uint64(stride)
-		for c := range p.Flows[i].ClassCycles {
-			p.Flows[i].ClassCycles[c] *= uint64(stride)
-		}
-		if wallNs > 0 {
-			p.Flows[i].Ns = p.Flows[i].Share * wallNs
-			p.TotalNs += p.Flows[i].Ns
 		}
 	}
 	return p

@@ -45,9 +45,6 @@ func TestExactAttributesAllCycles(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
 	p := Exact(rom, ix, h, nil)
-	if p.Engine != "exact" {
-		t.Fatalf("engine = %q", p.Engine)
-	}
 	if p.TotalCycles != h.TotalCycles() {
 		t.Fatalf("total %d, histogram holds %d", p.TotalCycles, h.TotalCycles())
 	}
@@ -88,21 +85,21 @@ func TestExactPricesWithCalibration(t *testing.T) {
 	}
 }
 
-func TestSampledScalesByStride(t *testing.T) {
+// TestMeanPricedDistributesWall: priced at the run's own mean
+// ns/cycle — the live Profiler's calibration — every flow gets its
+// cycle share of the wall time and the total is the wall time.
+func TestMeanPricedDistributesWall(t *testing.T) {
 	rom, ix := testIndex(t)
-	h := synthHist(ix) // interpreted as sample counts
-	p := Sampled(rom, ix, h, 64, 1e9)
-	if p.Engine != "sampling" || p.Stride != 64 {
-		t.Fatalf("engine/stride = %q/%d", p.Engine, p.Stride)
+	h := synthHist(ix)
+	const wallNs = 1e9
+	p := Exact(rom, ix, h, Uniform(wallNs/float64(h.TotalCycles())))
+	if math.Abs(p.TotalNs-wallNs) > 1e-6*wallNs {
+		t.Fatalf("total ns %v should equal wall ns %v", p.TotalNs, wallNs)
 	}
-	if p.Samples != h.TotalCycles() {
-		t.Fatalf("samples = %d, want %d", p.Samples, h.TotalCycles())
-	}
-	if p.TotalCycles != p.Samples*64 {
-		t.Fatalf("total cycles %d != samples×stride %d", p.TotalCycles, p.Samples*64)
-	}
-	if math.Abs(p.TotalNs-1e9) > 1e-3*1e9 {
-		t.Fatalf("sampled total ns %v should equal wall ns 1e9", p.TotalNs)
+	for _, f := range p.Flows {
+		if want := f.Share * wallNs; math.Abs(f.Ns-want) > 1e-6*wallNs {
+			t.Errorf("%s: %v ns, want share × wall = %v", f.Name, f.Ns, want)
+		}
 	}
 }
 

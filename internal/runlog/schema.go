@@ -60,13 +60,16 @@ func Schema() map[string]EventSchema {
 				"cause", "transient", "flight"},
 		},
 		EvProf: {
-			Required: []string{"engine", "stride", "samples", "cycles", "flows"},
+			Required: []string{"cycles", "flows"},
 			Optional: []string{"host"},
 		},
 		EvRunDone: {
 			Required: []string{"workloads", "instructions", "cycles", "cpi",
-				"retries", "resumed", "faults", "table8", "host"},
-			Optional: []string{"prof"},
+				"retries", "resumed", "faults", "table8"},
+			// The host self-profile is wall-clock data that
+			// StripWallClock removes, so a stripped ledger must still
+			// validate without it.
+			Optional: []string{"prof", "host"},
 		},
 		EvSweepStart: {
 			Required: []string{"points"},
@@ -195,14 +198,15 @@ func StripWallClock(data []byte) ([]byte, error) {
 // StripKeys is the one JSONL canonicalizer behind StripWallClock and
 // obs.StripWall: every non-empty line (see Lines) is parsed as a JSON
 // object, the given top-level keys are deleted, and the rest is
-// re-encoded with sorted keys, one record per line. A line that is not
-// a JSON object — a torn final record included — is an error, never a
-// silently shorter stream.
+// re-encoded with sorted keys, one record per line. Numbers keep their
+// literal text, so a count beyond float64's range or precision strips
+// unchanged. A line that is not a JSON object — a torn final record
+// included — is an error, never a silently shorter stream.
 func StripKeys(data []byte, keys []string) ([]byte, error) {
 	var out bytes.Buffer
 	for n, line := range Lines(data) {
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
+		rec, err := decodeObject(line)
+		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", n+1, err)
 		}
 		for _, k := range keys {
@@ -217,6 +221,21 @@ func StripKeys(data []byte, keys []string) ([]byte, error) {
 		out.WriteByte('\n')
 	}
 	return out.Bytes(), nil
+}
+
+// decodeObject parses one JSON object, numbers as json.Number, and
+// rejects anything after it as json.Unmarshal would.
+func decodeObject(line []byte) (map[string]any, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var rec map[string]any
+	if err := dec.Decode(&rec); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after the JSON object")
+	}
+	return rec, nil
 }
 
 // Lines splits JSONL data into its non-empty lines, whitespace

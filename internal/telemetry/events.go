@@ -30,7 +30,7 @@ type profFunc struct {
 
 // SetProf attaches the host-time profiler's latest-profile closure,
 // feeding /prof. The closure returns nil until the first workload's
-// samples merge, then the cumulative (finally the whole-run) Profile.
+// histogram merges, then the cumulative (finally the whole-run) Profile.
 func (t *Telemetry) SetProf(latest func() any) {
 	t.profFn.Store(&profFunc{latest: latest})
 }

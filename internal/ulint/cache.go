@@ -13,8 +13,8 @@ var indexCache sync.Map // *urom.ROM → *FlowIndex
 
 // IndexFor returns rom's flow index, building it at most once per
 // assembled image. The CFG walk and bounds passes behind NewFlowIndex
-// are the expensive part of the analyzer; the prof sampler and vaxlint
-// both classify against this shared cached analysis instead of
+// are the expensive part of the analyzer; the host-time profiler and
+// vaxlint both classify against this shared cached analysis instead of
 // re-deriving it per run, and therefore cannot disagree about where a
 // flow begins.
 func IndexFor(rom *urom.ROM) *FlowIndex {

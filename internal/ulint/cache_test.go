@@ -1,7 +1,7 @@
 package ulint
 
 // The shared flow-index cache: one analysis per assembled ROM image,
-// reused by the prof sampler and vaxlint.
+// reused by the host-time profiler and vaxlint.
 
 import (
 	"sync"

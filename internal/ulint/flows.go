@@ -22,8 +22,8 @@ type Flow struct {
 }
 
 // FlowIndex resolves any control-store address to its owning flow in
-// O(1) — the classification step of the sampling profiler, run once per
-// sample bucket. Words reachable from more than one entry (shared
+// O(1) — the classification step of the host-time profiler, run once
+// per histogram bucket. Words reachable from more than one entry (shared
 // tails) belong to the lowest entry, deterministically.
 type FlowIndex struct {
 	flows []Flow

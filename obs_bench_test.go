@@ -1,8 +1,8 @@
 package vax780
 
 // Trace-recorder overhead benchmarks. RunConfig.Trace rides the same
-// nil-checked hook pattern as the telemetry probes, fault injectors,
-// and profiler sampler, and its spans are emitted only at run and
+// nil-checked hook pattern as the telemetry probes and fault
+// injectors, and its spans are emitted only at run and
 // workload boundaries — so a run with no recorder attached must cost
 // within 1% of the baseline, and CI gates BenchmarkObs/off A/B across
 // base and head with vaxbench -compare (make bench-obs writes the
@@ -15,7 +15,25 @@ import (
 	"testing"
 
 	"vax780/internal/obs"
+	"vax780/internal/runlog"
 )
+
+// newBenchClock returns the sanctioned wall-clock reader (the run
+// ledger's clock; the simulation itself stays clock-free).
+func newBenchClock() *runlog.Clock { return runlog.NewClock() }
+
+// minNs reduces one timing arm to its minimum — the low-noise
+// estimator for a deterministic computation (every disturbance only
+// adds time, so the minimum is the closest observation to true cost).
+func minNs(v []float64) float64 {
+	m := v[0]
+	for _, x := range v[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
 
 func benchObsRun(b *testing.B, attach bool) {
 	b.Helper()

@@ -5,10 +5,10 @@ package vax780
 // nanoseconds onto the micro-architectural structure it simulates —
 // control-store flows, straight-line segments, Table 8 cycle classes —
 // exactly the way the paper's board attributes the 780's elapsed time
-// onto its microcode. The in-run engine samples (every stride-th cycle's
-// micro-PC, one nil test per cycle when detached); the exact engine
-// prices the run's bit-exact composite histogram after the fact through
-// Results.Profile. Both report the same Profile format.
+// onto its microcode. One engine serves both views: a Profiler prices
+// each workload's exact histogram at the measured wall time as the run
+// merges it, and Results.Profile prices the composite histogram after
+// the fact, under a calibration when one is given.
 
 import (
 	"io"
@@ -40,20 +40,24 @@ func ReadCalibration(r io.Reader) (*Calibration, error) {
 }
 
 // flowIndex returns the flow index of the shared control store — the
-// per-ROM cached analysis (ulint.IndexFor) the prof sampler and
-// vaxlint both classify against, so the two cannot disagree about
-// where a flow begins.
+// per-ROM cached analysis (ulint.IndexFor) the profiler and vaxlint
+// both classify against, so the two cannot disagree about where a flow
+// begins.
 func flowIndex() *ulint.FlowIndex {
 	return ulint.IndexFor(machineROM())
 }
 
-// Profiler attaches the sampling host-time profiler to a run (set
-// RunConfig.Profiler). While the run executes, each workload machine
-// carries a micro-PC sampler; at every workload merge the profiler
-// folds the samples in (in workload order, so the sampled histogram is
+// Profiler attaches the host-time profiler to a run (set
+// RunConfig.Profiler). It reads what the UPC board counted: at every
+// workload merge the profiler folds that workload's exact histogram and
+// its measured duration in (in workload order, so the aggregate is
 // bit-exact across Parallelism) and publishes a cumulative Profile for
-// the telemetry /prof endpoint and vaxtop. After Run returns, Profile
-// holds the whole run.
+// the telemetry /prof endpoint and vaxtop, each flow priced at its
+// cycle share of the summed wall time. After Run returns, Profile holds
+// the whole run. The profile attributes the board's counts, so under a
+// fault plan or after a /board/stop it matches Results.Profile and the
+// trace's flow spans, not the cycles the machine ran; a workload folded
+// in from a checkpoint contributes no cycles and no wall time.
 //
 // The profiler keeps no span tree of its own: a run that also sets
 // RunConfig.Trace gets the profiler clock's wall placements on its run
@@ -65,16 +69,6 @@ func flowIndex() *ulint.FlowIndex {
 // so reusing one across sequential runs is fine, sharing one across
 // concurrent runs is not.
 type Profiler struct {
-	// SampleStride is the sampling period in cycles (default
-	// upc.DefaultSampleStride = 64; the enabled overhead shrinks with
-	// larger strides).
-	SampleStride int
-
-	// Calibration, when non-nil, is recorded on the profile so consumers
-	// can price sampled cycles; the sampling engine itself distributes
-	// measured wall time by share and does not need one.
-	Calibration *Calibration
-
 	// MaxFlows bounds the hot-flow list of the ledger's prof event
 	// (default 10; the full flow set is always in Profile). A run
 	// trace's flow children are its exact top flows, independent of
@@ -83,17 +77,9 @@ type Profiler struct {
 
 	mu     sync.Mutex
 	clock  *runlog.Clock
-	agg    upc.Histogram // summed sampled counts, merged in workload order
+	agg    upc.Histogram // summed workload histograms, merged in workload order
 	wallNs float64       // summed measured workload durations
 	latest atomic.Pointer[prof.Profile]
-}
-
-// stride resolves the sampling period.
-func (p *Profiler) stride() int {
-	if p.SampleStride > 0 {
-		return p.SampleStride
-	}
-	return upc.DefaultSampleStride
 }
 
 // maxFlows resolves the hot-flow list bound.
@@ -114,11 +100,6 @@ func (p *Profiler) begin() {
 	p.latest.Store(nil)
 }
 
-// newSampler builds one workload machine's sampler.
-func (p *Profiler) newSampler() *upc.Sampler {
-	return upc.NewSampler(p.stride())
-}
-
 // nowNs reads the profiler's wall clock (0 on a nil profiler, so the
 // supervisor needs no guards).
 func (p *Profiler) nowNs() float64 {
@@ -129,28 +110,40 @@ func (p *Profiler) nowNs() float64 {
 }
 
 // noteWorkload folds one completed workload into the profile: its
-// sampled histogram (deterministic — the sample set is a pure function
-// of the cycle stream and the stride) and its measured duration.
-// Called by the merge, in workload order, which is what keeps the
-// aggregate bit-exact across -j.
-func (p *Profiler) noteWorkload(samp *upc.Sampler, startNs, endNs float64) {
-	if p == nil || samp == nil {
+// exact histogram and its measured duration. Called by the merge, in
+// workload order, which is what keeps the aggregate bit-exact across
+// -j.
+func (p *Profiler) noteWorkload(hist *upc.Histogram, startNs, endNs float64) {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.agg.Add(samp.Snapshot())
+	p.agg.Add(hist)
 	p.wallNs += endNs - startNs
-	p.latest.Store(prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs))
+	p.latest.Store(p.profile())
 }
 
 // finishRun closes the run and publishes the final profile.
 func (p *Profiler) finishRun() *prof.Profile {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	final := prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs)
+	final := p.profile()
 	p.latest.Store(final)
 	return final
+}
+
+// profile prices the aggregate histogram at the run's measured mean
+// ns/cycle, which gives each flow its cycle share of the wall time.
+// Callers hold mu.
+func (p *Profiler) profile() *prof.Profile {
+	var cal *prof.Calibration
+	if c := p.agg.TotalCycles(); c > 0 {
+		cal = prof.Uniform(p.wallNs / float64(c))
+	}
+	pr := prof.Exact(machineROM(), flowIndex(), &p.agg, cal)
+	pr.WallNs = p.wallNs
+	return pr
 }
 
 // Profile returns the latest published profile: cumulative while the
@@ -194,12 +187,7 @@ func profRows(p *prof.Profile, n int) []profFlowRow {
 // profSummaryAttrs is the run-done event's prof group: the profiler's
 // deterministic summary.
 func profSummaryAttrs(p *prof.Profile) []slog.Attr {
-	attrs := []slog.Attr{
-		slog.String("engine", p.Engine),
-		slog.Int("stride", p.Stride),
-		slog.Uint64("samples", p.Samples),
-		slog.Uint64("cycles", p.TotalCycles),
-	}
+	attrs := []slog.Attr{slog.Uint64("cycles", p.TotalCycles)}
 	if len(p.Flows) > 0 {
 		attrs = append(attrs, slog.String("top_flow", p.Flows[0].Name))
 	}

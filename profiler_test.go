@@ -1,12 +1,12 @@
 package vax780
 
-// Tests of the host-time profiler: the sampled attribution is
-// bit-exact across Parallelism (cycle-driven sampling, workload-order
-// merge), the exact engine's attribution is byte-identical seq↔par,
-// the two engines agree on the hot flows, the /prof endpoint serves
-// the live profile, a profiled run's trace carries the run→workload→
-// flow hierarchy on the wall clock, and FlightDepth validation rejects non-power-of-two
-// rings up front.
+// Tests of the host-time profiler: the live attribution is bit-exact
+// across Parallelism (exact histograms, workload-order merge) and
+// recomposes flow for flow from Results.Profile, the calibrated
+// attribution is byte-identical seq↔par, the /prof endpoint serves the
+// live profile, a profiled run's trace carries the run→workload→flow
+// hierarchy on the wall clock, and FlightDepth validation rejects
+// non-power-of-two rings up front.
 
 import (
 	"bytes"
@@ -43,23 +43,22 @@ func profiledRun(t *testing.T, cfg RunConfig, parallelism int) (*Profiler, *Resu
 	return p, res, stripped
 }
 
-// sampledFingerprint reduces a sampling profile to its deterministic
-// core: everything except the wall-clock-derived ns fields.
-func sampledFingerprint(p *Profile) string {
+// profileFingerprint reduces a live profile to its deterministic core:
+// everything except the wall-clock-derived ns fields.
+func profileFingerprint(p *Profile) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s stride=%d samples=%d cycles=%d unattr=%d\n",
-		p.Engine, p.Stride, p.Samples, p.TotalCycles, p.Unattributed)
+	fmt.Fprintf(&b, "cycles=%d unattr=%d\n", p.TotalCycles, p.Unattributed)
 	for _, f := range p.Flows {
 		fmt.Fprintf(&b, "%s %05o %d %.9f %v\n", f.Name, f.Entry, f.Cycles, f.Share, f.ClassCycles)
 	}
 	return b.String()
 }
 
-// TestProfilerParallelBitExact: the sampled profile — flows, cycles,
+// TestProfilerParallelBitExact: the live profile — flows, cycles,
 // shares, class vectors — and the stripped ledger (including the prof
-// event) are identical at Parallelism 1 and 4. The sampler triggers on
-// cycle count, not on time, and snapshots merge in workload order, so
-// parallel scheduling cannot move a single sample.
+// event) are identical at Parallelism 1 and 4. The profiler reads exact
+// histograms merged in workload order, so parallel scheduling cannot
+// move a single count.
 func TestProfilerParallelBitExact(t *testing.T) {
 	cfg := RunConfig{
 		Instructions: 1500,
@@ -72,8 +71,8 @@ func TestProfilerParallelBitExact(t *testing.T) {
 	if sprof == nil || pprof == nil {
 		t.Fatal("profiler published no profile")
 	}
-	if sf, pf := sampledFingerprint(sprof), sampledFingerprint(pprof); sf != pf {
-		t.Errorf("sampled profiles differ across parallelism:\nseq:\n%s\npar:\n%s", sf, pf)
+	if sf, pf := profileFingerprint(sprof), profileFingerprint(pprof); sf != pf {
+		t.Errorf("live profiles differ across parallelism:\nseq:\n%s\npar:\n%s", sf, pf)
 	}
 	if !bytes.Equal(sled, pled) {
 		t.Error("stripped profiled ledgers differ across parallelism")
@@ -82,8 +81,8 @@ func TestProfilerParallelBitExact(t *testing.T) {
 		t.Error("profiled ledger carries no prof event")
 	}
 
-	// The exact engine prices the composite histogram, which is already
-	// bit-exact seq↔par; its serialized attribution must match too.
+	// A calibrated attribution of the composite histogram, which is
+	// already bit-exact seq↔par, must serialize identically too.
 	cal := prof.Uniform(10)
 	sj, err := json.Marshal(sres.Profile(cal))
 	if err != nil {
@@ -98,51 +97,55 @@ func TestProfilerParallelBitExact(t *testing.T) {
 	}
 }
 
-// TestExactSampledTopFlowsAgree: the two engines rank the same five
-// flows hottest. Sampling is deterministic (stride-driven), so this is
-// a fixed property of the workload, not a statistical one.
-func TestExactSampledTopFlowsAgree(t *testing.T) {
-	p := &Profiler{}
-	res, err := Run(RunConfig{
-		Instructions: 20_000,
-		Workloads:    []WorkloadID{TimesharingA},
-		Profiler:     p,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestProfilerRecomposesExact: the live profiler reads the board's
+// exact histogram, so its final profile recomposes from ground truth
+// at every Parallelism — flow for flow (cycles, class cycles, share)
+// equal to Results.Profile, its total equal to the composite
+// histogram's, and the ledger prof event's cycles equal to run-done's.
+func TestProfilerRecomposesExact(t *testing.T) {
+	cfg := RunConfig{
+		Instructions: 2000,
+		Workloads:    []WorkloadID{TimesharingA, RTEEducational, RTEScientific, RTECommercial},
 	}
-	exact := res.Profile(nil)
-	sampled := p.Profile()
-	if sampled == nil {
-		t.Fatal("no sampled profile")
-	}
-	names := func(pr *Profile) map[string]bool {
-		m := map[string]bool{}
-		for _, f := range pr.Top(5) {
-			m[f.Name] = true
+	for _, j := range []int{1, 2, 4} {
+		p, res, led := profiledRun(t, cfg, j)
+		got := p.Profile()
+		if got == nil {
+			t.Fatalf("-j %d: profiler published no profile", j)
 		}
-		return m
-	}
-	en, sn := names(exact), names(sampled)
-	if len(en) != 5 || len(sn) != 5 {
-		t.Fatalf("top-5 sizes: exact %d, sampled %d", len(en), len(sn))
-	}
-	for n := range en {
-		if !sn[n] {
-			t.Errorf("exact top-5 flow %q missing from sampled top-5 %v", n, sn)
+		if total := res.Histogram().TotalCycles(); got.TotalCycles != total {
+			t.Errorf("-j %d: profile holds %d cycles, histogram %d", j, got.TotalCycles, total)
 		}
-	}
+		want := res.Profile(nil).Flows
+		if len(got.Flows) != len(want) {
+			t.Fatalf("-j %d: %d flows, exact profile has %d", j, len(got.Flows), len(want))
+		}
+		for i, f := range got.Flows {
+			w := want[i]
+			if f.Name != w.Name || f.Entry != w.Entry || f.Cycles != w.Cycles ||
+				f.ClassCycles != w.ClassCycles || f.Share != w.Share {
+				t.Errorf("-j %d: flow %d = %s %d %v %g, exact %s %d %v %g", j, i,
+					f.Name, f.Cycles, f.ClassCycles, f.Share, w.Name, w.Cycles, w.ClassCycles, w.Share)
+			}
+		}
 
-	// The sampled cycle estimate of the hottest flow is within 10% of
-	// the exact count (stride 64 over ~10^5 cycles).
-	eTop, sTop := exact.Top(1)[0], sampled.Top(1)[0]
-	if eTop.Name != sTop.Name {
-		t.Fatalf("hottest flow: exact %q, sampled %q", eTop.Name, sTop.Name)
-	}
-	ratio := float64(sTop.Cycles) / float64(eTop.Cycles)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("hottest flow %q: sampled %d vs exact %d cycles (ratio %.3f)",
-			eTop.Name, sTop.Cycles, eTop.Cycles, ratio)
+		cycles := map[string]uint64{}
+		for _, line := range bytes.Split(bytes.TrimSpace(led), []byte("\n")) {
+			var rec struct {
+				Msg    string `json:"msg"`
+				Cycles uint64 `json:"cycles"`
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Msg == "prof" || rec.Msg == "run-done" {
+				cycles[rec.Msg] = rec.Cycles
+			}
+		}
+		if cycles["prof"] == 0 || cycles["prof"] != cycles["run-done"] {
+			t.Errorf("-j %d: ledger prof cycles %d, run-done cycles %d",
+				j, cycles["prof"], cycles["run-done"])
+		}
 	}
 }
 
@@ -184,8 +187,8 @@ func TestProfEndpointServesProfile(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
 		t.Fatal(err)
 	}
-	if served.Engine != "sampling" || len(served.Flows) == 0 {
-		t.Fatalf("served profile: engine %q, %d flows", served.Engine, len(served.Flows))
+	if served.TotalCycles == 0 || len(served.Flows) == 0 {
+		t.Fatalf("served profile: %d cycles, %d flows", served.TotalCycles, len(served.Flows))
 	}
 }
 

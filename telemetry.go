@@ -55,8 +55,8 @@ func (t *Telemetry) ensure() *telemetry.Telemetry {
 // /metrics, expvar at /debug/vars, net/http/pprof at /debug/pprof/,
 // the histogram board's Unibus register mirror at /board/{start,
 // stop,clear,csr,read}, the SSE interval stream at /events, fleet
-// progress at /progress, and the host-time profiler's latest sampled
-// profile at /prof. It is safe to serve while a run executes.
+// progress at /progress, and the host-time profiler's latest profile
+// at /prof. It is safe to serve while a run executes.
 func (t *Telemetry) Handler() http.Handler { return t.ensure().Handler() }
 
 // TelemetryCounters is a plain snapshot of the live counters.

@@ -87,10 +87,10 @@ func TestTelemetryAttachmentIsPassive(t *testing.T) {
 }
 
 // TestHooksObserveEveryCycle: with telemetry, a forced-on flight
-// recorder and a stride-1 profiler attached at once, each hook observes
-// every cycle of the composite — the live counter, the interval sums
-// and the sample count all equal the histogram total — and together
-// they leave the measurement bit-identical to a bare run.
+// recorder and a profiler attached at once, each observer sees every
+// cycle of the composite — the live counter, the interval sums and the
+// profile's total all equal the histogram total — and together they
+// leave the measurement bit-identical to a bare run.
 func TestHooksObserveEveryCycle(t *testing.T) {
 	cfg := RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTECommercial}}
 	bare, err := Run(cfg)
@@ -98,7 +98,7 @@ func TestHooksObserveEveryCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := NewTelemetry(1500, 200000)
-	prof := &Profiler{SampleStride: 1}
+	prof := &Profiler{}
 	hooked := cfg
 	hooked.Telemetry = tel
 	hooked.FlightDepth = 64
@@ -118,8 +118,8 @@ func TestHooksObserveEveryCycle(t *testing.T) {
 	}
 	if p := prof.Profile(); p == nil {
 		t.Error("profiler published no profile")
-	} else if p.Samples != total {
-		t.Errorf("stride-1 profiler sampled %d cycles, want every one of %d", p.Samples, total)
+	} else if p.TotalCycles != res.Histogram().TotalCycles() {
+		t.Errorf("profiler attributed %d cycles, histogram holds %d", p.TotalCycles, total)
 	}
 }
 

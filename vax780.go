@@ -101,8 +101,8 @@ type RunConfig struct {
 	WriteBusy   int // write-buffer occupancy per write (6)
 
 	// CtxSwitchHeadway overrides the context-switch interval in
-	// instructions (0 = the measured 6418); the TB flush-interval study
-	// sweeps this.
+	// instructions (0 = the measured 6418; negative is rejected); the TB
+	// flush-interval study sweeps this.
 	CtxSwitchHeadway int
 
 	// Strict verifies every IB decode against the trace (slower; on by
@@ -210,12 +210,12 @@ type RunConfig struct {
 	// plumbing (internal/obs) and unusable outside the repository.
 	Trace *obs.Recorder
 
-	// Profiler, when non-nil, attaches the sampling host-time profiler:
-	// every stride-th cycle's micro-PC is sampled (one nil test per
-	// cycle when detached), classified onto control-store flows, and
-	// published as a cumulative Profile — on the telemetry /prof
-	// endpoint while the run executes, in the ledger's prof event and
-	// run-done summary, and via Profiler.Profile after Run returns.
+	// Profiler, when non-nil, attaches the host-time profiler: each
+	// workload's exact histogram is classified onto control-store flows
+	// at its merge (nothing per cycle), priced at the measured wall
+	// time, and published as a cumulative Profile — on the telemetry
+	// /prof endpoint while the run executes, in the ledger's prof event
+	// and run-done summary, and via Profiler.Profile after Run returns.
 	// Combined with Trace, it places the trace's spans on the wall
 	// clock (see Trace).
 	Profiler *Profiler
@@ -267,9 +267,10 @@ func (c *RunConfig) fill() {
 }
 
 // ErrBadConfig reports a RunConfig that describes a machine Run cannot
-// build: a negative hardware parameter, a cache or translation buffer
-// whose size does not divide into whole sets, or a flight-recorder
-// depth the mask-indexed ring cannot hold. Test with errors.Is.
+// build: a negative hardware parameter or context-switch headway, a
+// cache or translation buffer whose size does not divide into whole
+// sets, or a flight-recorder depth the mask-indexed ring cannot hold.
+// Test with errors.Is.
 var ErrBadConfig = errors.New("vax780: bad run configuration")
 
 // Validate rejects configurations Run cannot honor; Run calls it before
@@ -288,6 +289,7 @@ func (c *RunConfig) Validate() error {
 	}{
 		{"CacheBytes", c.CacheBytes}, {"CacheWays", c.CacheWays}, {"TBEntries", c.TBEntries},
 		{"MissLatency", c.MissLatency}, {"WriteBusy", c.WriteBusy},
+		{"CtxSwitchHeadway", c.CtxSwitchHeadway},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s %d is negative", ErrBadConfig, f.name, f.v)
@@ -616,7 +618,7 @@ func wrapWorkloadErr(err error) error {
 // workload order.
 func (s *runState) merge(id WorkloadID, one *oneRun, retries int, plan *faults.Plan) error {
 	s.composite.Add(one.hist)
-	s.cfg.Profiler.noteWorkload(one.samp, one.profStart, one.profEnd)
+	s.cfg.Profiler.noteWorkload(one.hist, one.profStart, one.profEnd)
 	s.hw.Mem.Add(&one.machine.Mem.Stats)
 	s.hw.IBConsumed += one.machine.IB.Consumed
 	s.res.Retries += retries
@@ -699,8 +701,7 @@ func (s *runState) finish() (*Results, error) {
 	if s.cfg.Profiler != nil {
 		p := s.cfg.Profiler.finishRun()
 		if s.led != nil {
-			s.led.Emit(runlog.ProfEvent(p.Engine, p.Stride, p.Samples, p.TotalCycles,
-				profRows(p, s.cfg.Profiler.maxFlows()),
+			s.led.Emit(runlog.ProfEvent(p.TotalCycles, profRows(p, s.cfg.Profiler.maxFlows()),
 				map[string]any{"wall_ns": p.WallNs}))
 		}
 		profAttrs = profSummaryAttrs(p)
@@ -737,9 +738,8 @@ type oneRun struct {
 	hist      *upc.Histogram
 	saturated bool
 
-	// Profiling sidecar (nil/zero without a Profiler): the workload's
-	// micro-PC sampler and its measured start/end on the profiler clock.
-	samp      *upc.Sampler
+	// The workload's measured start/end on the profiler clock (zero
+	// without a Profiler).
 	profStart float64
 	profEnd   float64
 }
@@ -755,8 +755,7 @@ var monPool = sync.Pool{New: func() any { return upc.New() }}
 // boundary: any panic that escapes the simulation surfaces as a
 // *faults.MachineCheck, never as a process crash.
 func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
-	plan *faults.Plan, fr *upc.FlightRecorder, cell *machine.ProgressCell,
-	samp *upc.Sampler) (one *oneRun, err error) {
+	plan *faults.Plan, fr *upc.FlightRecorder, cell *machine.ProgressCell) (one *oneRun, err error) {
 
 	var mon *upc.Monitor
 	if tel == nil {
@@ -777,7 +776,6 @@ func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
 		Strict:        cfg.Strict,
 		OverlapDecode: cfg.OverlapDecode,
 		Flight:        fr,
-		Sampler:       samp,
 		Progress:      cell,
 	}
 	if tel != nil {

@@ -232,6 +232,7 @@ func TestValidateHardware(t *testing.T) {
 		{"negative ways", RunConfig{CacheWays: -2}},
 		{"negative TB", RunConfig{TBEntries: -128}},
 		{"negative write busy", RunConfig{WriteBusy: -1}},
+		{"negative headway", RunConfig{CtxSwitchHeadway: -1}},
 		{"flight depth 100", RunConfig{FlightDepth: 100}},
 	}
 	for _, tc := range bad {
