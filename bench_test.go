@@ -42,7 +42,7 @@ func benchComposite(b *testing.B) *Results {
 func BenchmarkFigure1BlockDiagram(b *testing.B) {
 	var s string
 	for i := 0; i < b.N; i++ {
-		s = BlockDiagram()
+		s = renderBlockDiagram()
 	}
 	b.ReportMetric(float64(len(s)), "bytes")
 }

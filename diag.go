@@ -3,6 +3,7 @@ package vax780
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"vax780/internal/machine"
 	"vax780/internal/mem"
@@ -11,9 +12,16 @@ import (
 	"vax780/internal/workload"
 )
 
-// BlockDiagram renders the Figure 1 block diagram of the stock
-// VAX-11/780 configuration without running a workload.
-func BlockDiagram() string {
+// BlockDiagram returns the Figure 1 block diagram of the stock
+// VAX-11/780 configuration without running a workload. The text depends
+// only on the stock configuration, so it is rendered once per process
+// and every caller shares the same string.
+func BlockDiagram() string { return blockDiagram() }
+
+var blockDiagram = sync.OnceValue(renderBlockDiagram)
+
+// renderBlockDiagram builds a stock machine and describes it.
+func renderBlockDiagram() string {
 	m := machine.New(machine.Config{Mem: mem.Config{}}, workload.NewProgram())
 	return m.Describe()
 }

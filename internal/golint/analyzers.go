@@ -10,8 +10,9 @@ import (
 // HotTarget names one function on the per-cycle hot path: the EBOX and
 // IBOX tick functions, the monitor's inlined count pulse and the
 // telemetry observers' per-cycle hooks, which run once per simulated
-// 200 ns cycle. Recv is the receiver type name ("" for plain
-// functions).
+// 200 ns cycle, and the cache and TB probes, which run once per memory
+// reference inside that loop. Recv is the receiver type name ("" for
+// plain functions).
 type HotTarget struct {
 	PkgPath string
 	Recv    string
@@ -28,6 +29,9 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Tracer", Func: "cycle"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Recorder", Func: "cycle"},
+	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "access"},
+	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "lookup"},
+	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "insert"},
 }
 
 // HotPathAnalyzer flags heap allocations, defers, goroutine launches,

@@ -191,7 +191,7 @@ type System struct {
 func New(cfg Config) *System {
 	cfg.fillDefaults()
 	s := &System{cfg: cfg}
-	s.tb = newTB(cfg.TBEntries, cfg.TBWays, cfg.PageBytes)
+	s.tb = newTB(cfg.TBEntries, cfg.TBWays)
 	s.cache = newCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock)
 	return s
 }

@@ -6,12 +6,12 @@ package mem
 // the process half; this split is why the paper's companion study [3]
 // cares about context-switch headway for TB simulations (§3.4).
 type TB struct {
-	ways     int
-	sets     int // sets per half
-	pageBits uint
+	ways int
+	sets divisor // sets per half
 
-	// entries[half][set][way]; half 0 = process, 1 = system.
-	entries [2][][]tbEntry
+	// entries[half][set*ways+way]; half 0 = process, 1 = system. Both
+	// halves are slices of one backing array.
+	entries [2][]tbEntry
 	// clock drives round-robin replacement, as the real TB's random
 	// replacement is well-approximated by it at this granularity.
 	clock uint32
@@ -22,31 +22,30 @@ type tbEntry struct {
 	valid bool
 }
 
-func newTB(entries, ways, pageBytes int) *TB {
-	setsPerHalf := entries / 2 / ways
-	if setsPerHalf < 1 {
-		setsPerHalf = 1
+func newTB(entries, ways int) *TB {
+	setsPerHalf := max(entries/2/ways, 1)
+	n := setsPerHalf * ways
+	all := make([]tbEntry, 2*n)
+	return &TB{
+		ways:    ways,
+		sets:    newDivisor(setsPerHalf),
+		entries: [2][]tbEntry{all[:n:n], all[n:]},
 	}
-	t := &TB{ways: ways, sets: setsPerHalf}
-	for half := 0; half < 2; half++ {
-		t.entries[half] = make([][]tbEntry, setsPerHalf)
-		for s := range t.entries[half] {
-			t.entries[half][s] = make([]tbEntry, ways)
-		}
-	}
-	return t
 }
 
-func (t *TB) halfFor(sys bool) int {
+// set returns the ways of vpn's set in the given space.
+func (t *TB) set(vpn uint32, sys bool) []tbEntry {
+	half := t.entries[0]
 	if sys {
-		return 1
+		half = t.entries[1]
 	}
-	return 0
+	base := int(t.sets.mod(vpn)) * t.ways
+	return half[base : base+t.ways]
 }
 
 // lookup probes the TB for vpn in the given space.
 func (t *TB) lookup(vpn uint32, sys bool) bool {
-	set := t.entries[t.halfFor(sys)][vpn%uint32(t.sets)]
+	set := t.set(vpn, sys)
 	for i := range set {
 		if set[i].valid && set[i].vpn == vpn {
 			return true
@@ -57,25 +56,23 @@ func (t *TB) lookup(vpn uint32, sys bool) bool {
 
 // insert installs vpn, evicting round-robin within its set.
 func (t *TB) insert(vpn uint32, sys bool) {
-	set := t.entries[t.halfFor(sys)][vpn%uint32(t.sets)]
+	set := t.set(vpn, sys)
+	w := -1
 	for i := range set {
 		if !set[i].valid {
-			set[i] = tbEntry{vpn: vpn, valid: true}
-			return
+			w = i
+			break
 		}
 		if set[i].vpn == vpn {
 			return
 		}
 	}
-	t.clock++
-	set[t.clock%uint32(t.ways)] = tbEntry{vpn: vpn, valid: true}
+	if w < 0 {
+		t.clock++
+		w = int(t.clock % uint32(t.ways))
+	}
+	set[w].vpn, set[w].valid = vpn, true
 }
 
 // flushProcess invalidates the process half.
-func (t *TB) flushProcess() {
-	for s := range t.entries[0] {
-		for w := range t.entries[0][s] {
-			t.entries[0][s][w].valid = false
-		}
-	}
-}
+func (t *TB) flushProcess() { clear(t.entries[0]) }

@@ -3,8 +3,12 @@ package upc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestHistogramRoundTrip(t *testing.T) {
@@ -171,6 +175,90 @@ func TestRoundTripPreservesComposite(t *testing.T) {
 	}
 }
 
+// seededDump is a dump whose counts differ from bucket to bucket, so a
+// decoder that misplaces one chunk cannot round-trip it.
+func seededDump(t testing.TB) (*Histogram, []byte) {
+	h := &Histogram{}
+	for i := range h.Normal {
+		h.Normal[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		h.Stalled[i] = uint64(i) * 7
+	}
+	var buf bytes.Buffer
+	if _, err := h.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return h, buf.Bytes()
+}
+
+func TestReadHistogramShortReads(t *testing.T) {
+	h, data := seededDump(t)
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+		"data-err": iotest.DataErrReader,
+	} {
+		got, err := ReadHistogram(wrap(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("%s reader: %v", name, err)
+		}
+		if *got != *h {
+			t.Errorf("%s reader: decoded histogram differs", name)
+		}
+	}
+}
+
+func TestReadHistogramTruncatedAtEveryChunk(t *testing.T) {
+	_, data := seededDump(t)
+	const head = 10
+	cuts := []int{head + dumpChunk/2 + 3} // one mid-chunk offset
+	for off := head; off < len(data)-4; off += dumpChunk {
+		cuts = append(cuts, off)
+	}
+	if want := 1 + 2*Buckets*8/dumpChunk; len(cuts) != want {
+		t.Fatalf("%d cuts, want %d", len(cuts), want)
+	}
+	for _, cut := range cuts {
+		var got *Histogram
+		var err error
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("truncated at %d: panic %v", cut, p)
+				}
+			}()
+			got, err = ReadHistogram(bytes.NewReader(data[:cut]))
+		}()
+		if got != nil {
+			t.Errorf("truncated at %d: returned a partial histogram", cut)
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "truncated while reading counts") {
+			t.Errorf("truncated at %d: err = %v, want a truncated-counts ErrCorrupt", cut, err)
+		}
+	}
+}
+
+func TestWriteToMatchesWholeSetEncoding(t *testing.T) {
+	// The chunked encoder must emit exactly the bytes of the format
+	// spelled out field by field.
+	h, data := seededDump(t)
+	var want bytes.Buffer
+	want.WriteString(dumpMagic)
+	want.Write([]byte{dumpVersion, 0})
+	want.Write([]byte{Buckets & 0xff, Buckets >> 8, 0, 0})
+	for _, set := range h.countSets() {
+		for _, v := range set {
+			for b := 0; b < 8; b++ {
+				want.WriteByte(byte(v >> (8 * b)))
+			}
+		}
+	}
+	sum := crc32.ChecksumIEEE(want.Bytes())
+	want.Write([]byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Fatal("WriteTo output differs from the field-by-field encoding")
+	}
+}
+
 // FuzzReadHistogram feeds arbitrary bytes to the dump reader: it must
 // never panic and never accept corrupt data silently.
 func FuzzReadHistogram(f *testing.F) {
@@ -181,6 +269,8 @@ func FuzzReadHistogram(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:10+dumpChunk])     // truncated at a chunk boundary
+	f.Add(buf.Bytes()[:10+3*dumpChunk/2]) // truncated mid-chunk
 	f.Add([]byte("UPCH"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -54,7 +54,10 @@ func (r *Results) CPI() float64 { return r.analysis.CPIMatrix().Total }
 // Report renders every table with the paper's values alongside.
 func (r *Results) Report() string { return report.New(r.analysis).All() }
 
-// BlockDiagram renders the Figure 1 system structure.
+// BlockDiagram returns the Figure 1 system structure. A run describes
+// the machine its workloads ran on, so a custom cache or TB geometry
+// shows. Results loaded or merged from dumps carry the stock diagram,
+// the string the package-level BlockDiagram renders once per process.
 func (r *Results) BlockDiagram() string { return r.describe }
 
 // GroupPercent is a public Table 1 row.
