@@ -4,15 +4,13 @@
 // control-store flows of the simulated machine — the exact complement
 // of the UPC board, which reports where the *simulated* cycles go.
 //
-// One engine backs the report: it prices the UPC board's exact
-// composite histogram with a per-class calibration — the host ns/cycle
-// of each Table 8 cycle class, solved from interleaved per-workload
-// timing probes (each workload weights compute, memory, and stalls
-// differently, so the five runs give five independent equations). The
-// calibrated total is then reconciled against the measured wall time.
-// The Profiler attached to the measured composite (RunConfig.Profiler)
-// reads the same histogram live; it supplies the workload timings and
-// the run ledger's prof event.
+// One engine backs the report: the Profiler attached to the measured
+// composite (RunConfig.Profiler) attributes the UPC board's exact
+// histogram to control-store flows and prices each flow at its cycle
+// share of the measured wall time — the run's own mean ns/cycle. There
+// is no per-class host cost model: fitted to timed probes, one
+// predicted held-out runs no better than that mean. The same Profiler
+// supplies the run ledger's prof event.
 //
 // The span exports are the measured composite's run trace
 // (RunConfig.Trace): run → workload → exact top flows, placed on the
@@ -20,10 +18,9 @@
 //
 // Usage:
 //
-//	vaxprof [-n 50000] [-top 15]                   calibrated hot-flow table
+//	vaxprof [-n 50000] [-top 15]                   mean-priced hot-flow table
 //	vaxprof -diff old.json new.json                compare two saved profiles
-//	vaxprof -o prof.json -calib-out cal.json       save the calibrated profile / calibration
-//	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
+//	vaxprof -o prof.json                           also save the profile JSON
 //	vaxprof -chrome trace.json -spans spans.jsonl  run trace exports (run→workload→flow)
 //	vaxprof -ledger run.jsonl                      also write the run ledger JSONL
 //
@@ -35,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"vax780"
 	"vax780/internal/obs"
@@ -44,11 +42,8 @@ import (
 func main() {
 	n := flag.Int("n", 50_000, "instructions per workload")
 	top := flag.Int("top", 15, "flows to print")
-	reps := flag.Int("reps", 3, "interleaved timing repetitions per calibration probe")
 	diff := flag.Bool("diff", false, "diff two saved profiles (old.json new.json args) and exit")
-	out := flag.String("o", "", "write the calibrated profile JSON here")
-	calibIn := flag.String("calib", "", "load a saved calibration instead of probing")
-	calibOut := flag.String("calib-out", "", "write the solved calibration JSON here")
+	out := flag.String("o", "", "write the profile JSON here")
 	chrome := flag.String("chrome", "", "write the run trace (run→workload→flow) as Chrome trace-event JSON here")
 	spans := flag.String("spans", "", "write the run trace (run→workload→flow) as JSONL span rows here")
 	ledger := flag.String("ledger", "", "write the run ledger JSONL here")
@@ -62,8 +57,7 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
 	}
 
-	if err := run(*n, *top, *reps,
-		*out, *calibIn, *calibOut, *chrome, *spans, *ledger); err != nil {
+	if err := run(*n, *top, *out, *chrome, *spans, *ledger); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxprof:", err)
 		os.Exit(1)
 	}
@@ -94,61 +88,55 @@ func runDiff(oldPath, newPath string, top int) int {
 	return 0
 }
 
-// run is the measurement path: calibrate (or load), run the composite
-// with the profiler attached, print the calibrated table and its
-// reconciliation, and write whatever exports were requested.
-func run(n, top, reps int,
-	out, calibIn, calibOut, chrome, spansPath, ledgerPath string) error {
-
-	// Calibration: load a saved one (skips probing), or solve one from
-	// the interleaved measurement session.
-	var preCal *vax780.Calibration
-	if calibIn != "" {
-		f, err := os.Open(calibIn)
-		if err != nil {
-			return err
-		}
-		c, err := prof.ReadCalibration(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		preCal = c
-		fmt.Printf("calibration: %s (%d probes, host %s)\n\n", calibIn, c.Probes, c.Host)
+// run is the measurement path: one discarded warm-up run, then the
+// profiled composite at -j 1; print its mean-priced table and write
+// whatever exports were requested.
+func run(n, top int, out, chrome, spansPath, ledgerPath string) error {
+	// The first simulation in a process pays allocator growth and cold
+	// caches no later run sees; keep it out of the measured run.
+	warm := vax780.RunConfig{
+		Instructions: n,
+		Workloads:    []vax780.WorkloadID{vax780.TimesharingA},
+		Parallelism:  1,
+	}
+	if _, err := vax780.Run(warm); err != nil {
+		return fmt.Errorf("warm-up run: %w", err)
 	}
 
-	m, err := measure(n, reps, top, preCal, ledgerPath)
+	p := &vax780.Profiler{MaxFlows: top}
+	rec := obs.NewRecorder("vaxprof")
+	cfg := vax780.RunConfig{Instructions: n, Parallelism: 1, Profiler: p, Trace: rec}
+	var led *os.File
+	if ledgerPath != "" {
+		f, err := os.Create(ledgerPath)
+		if err != nil {
+			return err
+		}
+		led, cfg.Ledger = f, f
+	}
+	runtime.GC() // keep the warm-up's garbage out of the measured window
+	_, err := vax780.Run(cfg)
+	if led != nil {
+		if cerr := led.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return err
 	}
-	cal, res, wallNs := m.cal, m.res, m.wallNs
-
-	if calibOut != "" {
-		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
-			return err
-		}
+	pr := p.Profile()
+	if pr == nil {
+		return fmt.Errorf("the run published no profile")
 	}
-
-	exact := res.Profile(cal)
-	exact.WallNs = wallNs
-	fmt.Print(exact.Table(top))
-	if exact.WallNs > 0 {
-		err := 100 * (exact.TotalNs - exact.WallNs) / exact.WallNs
-		fmt.Printf("\nreconciliation: calibrated total %.3f ms vs measured %.3f ms (%+.1f%%)\n",
-			exact.TotalNs/1e6, exact.WallNs/1e6, err)
-	}
-	return writeExports(m.rec, res, cal, wallNs, out, chrome, spansPath)
+	fmt.Print(pr.Table(top))
+	return writeExports(rec, pr, out, chrome, spansPath)
 }
 
-// writeExports emits the requested files after a measurement run: the
-// exact profile, and the measured run's trace in Chrome and JSONL form.
-func writeExports(rec *obs.Recorder, res *vax780.Results,
-	cal *vax780.Calibration, wallNs float64, out, chrome, spansPath string) error {
-
+// writeExports emits the requested files after the measured run: the
+// profile, and the run's trace in Chrome and JSONL form.
+func writeExports(rec *obs.Recorder, pr *vax780.Profile, out, chrome, spansPath string) error {
 	if out != "" {
-		exact := res.Profile(cal)
-		exact.WallNs = wallNs
-		if err := writeFile(out, exact.WriteJSON); err != nil {
+		if err := writeFile(out, pr.WriteJSON); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // a Chrome trace that parses.
 func TestWriteExports(t *testing.T) {
 	rec := obs.NewRecorder("vaxprof")
-	res, err := vax780.Run(vax780.RunConfig{
+	_, err := vax780.Run(vax780.RunConfig{
 		Instructions: 1000,
 		Workloads:    []vax780.WorkloadID{vax780.TimesharingA, vax780.RTECommercial},
 		Profiler:     &vax780.Profiler{},
@@ -27,7 +27,7 @@ func TestWriteExports(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "trace.json")
 	spans := filepath.Join(dir, "spans.jsonl")
-	if err := writeExports(rec, res, nil, 0, "", chrome, spans); err != nil {
+	if err := writeExports(rec, nil, "", chrome, spans); err != nil {
 		t.Fatal(err)
 	}
 

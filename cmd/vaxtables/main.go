@@ -419,7 +419,7 @@ func Markdown(res *vax780.Results, tel *vax780.Telemetry, perExperiment int) str
 // bit-exact composite histogram); host ns/cycle pricing depends on the
 // machine the document was generated on, so it stays in vaxprof.
 func writeHotFlowSection(w func(string, ...interface{}), res *vax780.Results) {
-	p := res.Profile(nil)
+	p := res.Profile()
 	if p == nil || len(p.Flows) == 0 {
 		return
 	}

@@ -89,6 +89,28 @@ type Point struct {
 	CtxSwitchHeadway int `json:"ctx_switch_headway,omitempty"`
 }
 
+// maxWork bounds a job's total simulated instructions: per-workload
+// instructions × workloads × max(1, points), defaults counted. Runs
+// materialise their instruction traces (~86 B per instruction, cached
+// per workload), so this is what bounds the memory one submission can
+// ask vaxd for: 40× the stock composite, under ~0.9 GB of traces.
+const maxWork = 10_000_000
+
+// workWithinLimit reports whether the spec's total instructions stay within
+// maxWork. The division keeps the product from overflowing.
+func (s *Spec) workWithinLimit() bool {
+	instr := s.Instructions
+	if instr == 0 {
+		instr = 50_000 // RunConfig's default
+	}
+	per := len(s.Workloads)
+	if per == 0 {
+		per = len(vax780.AllWorkloads())
+	}
+	per *= max(1, len(s.Points))
+	return instr <= maxWork/per
+}
+
 // IsSweep reports whether the spec fans out over design points.
 func (s *Spec) IsSweep() bool { return len(s.Points) > 0 }
 
@@ -203,6 +225,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism", ErrBadSpec)
+	}
+	if !s.workWithinLimit() {
+		return fmt.Errorf("%w: instructions × workloads × points exceeds %d", ErrBadSpec, maxWork)
 	}
 	if s.IsSweep() {
 		pts, err := s.sweepPoints()

@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"testing"
 
@@ -79,21 +80,42 @@ func TestSpecKeySweep(t *testing.T) {
 	}
 }
 
-func TestSpecValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		spec Spec
-		ok   bool
-	}{
-		{"zero value", Spec{}, true},
-		{"named workloads", Spec{Workloads: []string{"TIMESHARING-A", "RTE-COM"}}, true},
-		{"unknown workload", Spec{Workloads: []string{"PDP-11"}}, false},
-		{"negative instructions", Spec{Instructions: -1}, false},
-		{"negative deadline", Spec{DeadlineMS: -5}, false},
-		{"unlabeled point", Spec{Points: []Point{{CacheBytes: 4096}}}, false},
-		{"labeled points", Spec{Points: []Point{{Label: "a"}, {Label: "b", CacheWays: 1}}}, true},
+// labeled returns n design points with distinct labels and no overrides.
+func labeled(n int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i].Label = fmt.Sprintf("p%d", i)
 	}
-	for _, tc := range cases {
+	return pts
+}
+
+// specValidateCases are TestSpecValidate's table, also FuzzSpec's seeds.
+var specValidateCases = []struct {
+	name string
+	spec Spec
+	ok   bool
+}{
+	{"zero value", Spec{}, true},
+	{"named workloads", Spec{Workloads: []string{"TIMESHARING-A", "RTE-COM"}}, true},
+	{"unknown workload", Spec{Workloads: []string{"PDP-11"}}, false},
+	{"negative instructions", Spec{Instructions: -1}, false},
+	{"negative deadline", Spec{DeadlineMS: -5}, false},
+	{"unlabeled point", Spec{Points: []Point{{CacheBytes: 4096}}}, false},
+	{"labeled points", Spec{Points: []Point{{Label: "a"}, {Label: "b", CacheWays: 1}}}, true},
+	// The work bound: instructions × workloads × max(1, points),
+	// defaults (50,000 instructions, five workloads) counted.
+	{"work at limit", Spec{Instructions: maxWork / 5}, true},
+	{"work over limit", Spec{Instructions: maxWork/5 + 1}, false},
+	{"one workload at limit", Spec{Workloads: []string{"RTE-SCI"}, Instructions: maxWork}, true},
+	{"sweep at limit", Spec{Workloads: []string{"RTE-SCI"}, Instructions: maxWork / 4, Points: labeled(4)}, true},
+	{"sweep over limit", Spec{Workloads: []string{"RTE-SCI"}, Instructions: maxWork/4 + 1, Points: labeled(4)}, false},
+	{"default length at limit", Spec{Points: labeled(maxWork / 250_000)}, true},
+	{"default length over limit", Spec{Points: labeled(maxWork/250_000 + 1)}, false},
+	{"huge instructions", Spec{Instructions: math.MaxInt}, false},
+}
+
+func TestSpecValidate(t *testing.T) {
+	for _, tc := range specValidateCases {
 		err := tc.spec.Validate()
 		if tc.ok && err != nil {
 			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
@@ -108,18 +130,21 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// badHardwareSpecs name machines the simulator cannot build.
+var badHardwareSpecs = []Spec{
+	{MissLatency: -5},
+	{CacheBytes: 3},
+	{Points: []Point{{Label: "ok"}, {Label: "3-way", CacheWays: 3}}},
+	{Points: []Point{{Label: "7-entry TB", TBEntries: 7}}},
+	{CtxSwitchHeadway: -1},
+	{Points: []Point{{Label: "ok"}, {Label: "negative headway", CtxSwitchHeadway: -1}}},
+}
+
 // TestSpecValidateHardware: a spec or sweep point naming a machine the
 // simulator cannot build is rejected at admission with the run layer's
 // ErrBadConfig, which vaxd serves as 400.
 func TestSpecValidateHardware(t *testing.T) {
-	for _, spec := range []Spec{
-		{MissLatency: -5},
-		{CacheBytes: 3},
-		{Points: []Point{{Label: "ok"}, {Label: "3-way", CacheWays: 3}}},
-		{Points: []Point{{Label: "7-entry TB", TBEntries: 7}}},
-		{CtxSwitchHeadway: -1},
-		{Points: []Point{{Label: "ok"}, {Label: "negative headway", CtxSwitchHeadway: -1}}},
-	} {
+	for _, spec := range badHardwareSpecs {
 		err := spec.Validate()
 		if !errors.Is(err, vax780.ErrBadConfig) {
 			t.Errorf("%+v: Validate = %v, want ErrBadConfig", spec, err)

@@ -8,13 +8,14 @@
 //
 // One engine (Exact) prices every histogram bucket: the bucket is
 // assigned to its owning control-store flow and Table 8 cycle class,
-// and a calibration assigns each class a host cost in ns/cycle. The
-// calibration is either solved from interleaved A/B timings of runs
-// with different class mixes (see Solve) or the run's own measured mean
-// (Uniform(wall/cycles)), which gives each flow its cycle share of the
-// wall time — what the live Profiler publishes. The input histogram is
-// the UPC board's exact count, bit-exact across -j, so the attribution
-// is deterministic: same histogram, same calibration, same profile,
+// and, when the caller measured the run's wall time, each flow is
+// priced at the run's own mean ns/cycle — its cycle share of the wall
+// time, which is what the live Profiler publishes. There is no
+// per-class host cost model: a per-class fit to timed probes predicted
+// held-out runs no better than that mean (DESIGN §13.2), so a profile
+// reports only what the board counted and what the clock measured. The
+// input histogram is the UPC board's exact count, bit-exact across -j,
+// so the attribution is deterministic: same histogram, same profile,
 // byte for byte.
 //
 // The engine classifies through ulint's flow index, so profiling and
@@ -49,8 +50,8 @@ type FlowCost struct {
 	// Share is Cycles over the profile's total (including unattributed).
 	Share float64 `json:"share"`
 
-	// Ns estimates the host nanoseconds the flow cost: its class cycles
-	// priced by the calibration. Zero when the profile was not priced.
+	// Ns estimates the host nanoseconds the flow cost: its cycle share
+	// of the profile's WallNs. Zero when the profile was not priced.
 	Ns float64 `json:"ns,omitempty"`
 }
 
@@ -64,12 +65,9 @@ type Profile struct {
 	Unattributed uint64 `json:"unattributed,omitempty"`
 
 	// WallNs is the measured wall time of the profiled run, when the
-	// caller had one; TotalNs is the sum of attributed flow ns. Under a
-	// solved calibration the two reconciling is its validity check;
-	// under the run's own mean (the live Profiler) TotalNs is WallNs by
-	// construction.
-	WallNs  float64 `json:"wall_ns,omitempty"`
-	TotalNs float64 `json:"total_ns,omitempty"`
+	// caller had one (zero: unpriced). The flows' Ns divide it by cycle
+	// share.
+	WallNs float64 `json:"wall_ns,omitempty"`
 
 	// Flows holds every flow with attributed cycles, hottest first
 	// (ties broken by entry address, so the order is deterministic).
@@ -127,13 +125,9 @@ func (p *Profile) Table(n int) string {
 		fmt.Fprintf(&b, "      %-22s %6s  %12d %6.2f%%\n", "(unattributed)", "",
 			p.Unattributed, 100*float64(p.Unattributed)/float64(p.TotalCycles))
 	}
-	if p.TotalNs > 0 {
-		fmt.Fprintf(&b, "total attributed: %.3f ms", p.TotalNs/1e6)
-		if p.WallNs > 0 {
-			fmt.Fprintf(&b, "  measured wall: %.3f ms  (attributed/wall = %.1f%%)",
-				p.WallNs/1e6, 100*p.TotalNs/p.WallNs)
-		}
-		b.WriteString("\n")
+	if p.WallNs > 0 && p.TotalCycles > 0 {
+		fmt.Fprintf(&b, "measured wall: %.3f ms  (%.2f ns/cycle)\n",
+			p.WallNs/1e6, p.WallNs/float64(p.TotalCycles))
 	}
 	return b.String()
 }
@@ -195,21 +189,16 @@ func attribute(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	return p
 }
 
-// Exact attributes the run's bucket histogram to flows and prices it with the calibration (nil: cycles and shares only).
-// The input histogram is bit-exact across -j, the flow index and the
-// calibration are fixed inputs, so the profile is deterministic.
-func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, cal *Calibration) *Profile {
+// Exact attributes the run's bucket histogram to flows and, when
+// wallNs > 0, prices each flow at its cycle share of wallNs (0:
+// cycles and shares only). The input histogram is bit-exact across -j,
+// so the profile is a deterministic function of it and wallNs.
+func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, wallNs float64) *Profile {
 	p := attribute(rom, ix, h)
-	if cal != nil {
+	p.WallNs = wallNs
+	if wallNs > 0 && p.TotalCycles > 0 {
 		for i := range p.Flows {
-			p.Flows[i].Ns = cal.Price(p.Flows[i].ClassCycles)
-			p.TotalNs += p.Flows[i].Ns
-		}
-		// Unattributed cycles are priced at the calibration's average
-		// rate so the total covers the whole run.
-		if p.Unattributed > 0 && p.TotalCycles > p.Unattributed {
-			attributed := p.TotalCycles - p.Unattributed
-			p.TotalNs += float64(p.Unattributed) * p.TotalNs / float64(attributed)
+			p.Flows[i].Ns = float64(p.Flows[i].Cycles) * wallNs / float64(p.TotalCycles)
 		}
 	}
 	return p

@@ -44,7 +44,7 @@ func synthHist(ix *ulint.FlowIndex) *upc.Histogram {
 func TestExactAttributesAllCycles(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
-	p := Exact(rom, ix, h, nil)
+	p := Exact(rom, ix, h, 0)
 	if p.TotalCycles != h.TotalCycles() {
 		t.Fatalf("total %d, histogram holds %d", p.TotalCycles, h.TotalCycles())
 	}
@@ -72,108 +72,50 @@ func TestExactAttributesAllCycles(t *testing.T) {
 	}
 }
 
+// TestExactPricesWithCalibration: the wall time is the one calibration
+// left — a run of N cycles measured at N × 60 ns prices every flow at
+// 60 ns a cycle, whatever its class.
 func TestExactPricesWithCalibration(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
-	cal := Uniform(60)
-	p := Exact(rom, ix, h, cal)
-	want := float64(60) * float64(p.TotalCycles)
-	// Every class priced equally: total ns = cycles × 60, modulo
-	// unattributable buckets (none on a clean store with this input).
-	if math.Abs(p.TotalNs-want)/want > 0.01 {
-		t.Fatalf("uniform pricing: got %v ns, want ~%v", p.TotalNs, want)
+	const nsPerCycle = 60
+	p := Exact(rom, ix, h, nsPerCycle*float64(h.TotalCycles()))
+	for _, f := range p.Flows {
+		if want := nsPerCycle * float64(f.Cycles); math.Abs(f.Ns-want) > 1e-9*want {
+			t.Errorf("%s: %v ns for %d cycles, want %v", f.Name, f.Ns, f.Cycles, want)
+		}
 	}
 }
 
-// TestMeanPricedDistributesWall: priced at the run's own mean
-// ns/cycle — the live Profiler's calibration — every flow gets its
-// cycle share of the wall time and the total is the wall time.
+// TestMeanPricedDistributesWall: priced at the run's measured wall
+// time — the live Profiler's pricing — every flow gets its cycle share
+// of the wall time, and the flows sum to the wall time.
 func TestMeanPricedDistributesWall(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
 	const wallNs = 1e9
-	p := Exact(rom, ix, h, Uniform(wallNs/float64(h.TotalCycles())))
-	if math.Abs(p.TotalNs-wallNs) > 1e-6*wallNs {
-		t.Fatalf("total ns %v should equal wall ns %v", p.TotalNs, wallNs)
+	p := Exact(rom, ix, h, wallNs)
+	if p.WallNs != wallNs {
+		t.Fatalf("profile wall %v, priced at %v", p.WallNs, wallNs)
 	}
+	var sum float64
 	for _, f := range p.Flows {
-		if want := f.Share * wallNs; math.Abs(f.Ns-want) > 1e-6*wallNs {
+		sum += f.Ns
+		if want := f.Share * wallNs; math.Abs(f.Ns-want) > 1e-9*wallNs {
 			t.Errorf("%s: %v ns, want share × wall = %v", f.Name, f.Ns, want)
 		}
 	}
-}
-
-func TestSolveRecoversKnownCosts(t *testing.T) {
-	// Synthesize probes from a known cost vector with distinct class
-	// mixes; Solve must recover it closely.
-	truth := [paper.NumT8Cols]float64{50, 80, 30, 90, 35, 20}
-	mixes := [][paper.NumT8Cols]uint64{
-		{900_000, 50_000, 30_000, 20_000, 10_000, 100_000},
-		{500_000, 200_000, 150_000, 60_000, 40_000, 50_000},
-		{700_000, 20_000, 10_000, 150_000, 120_000, 30_000},
-		{300_000, 100_000, 300_000, 30_000, 20_000, 250_000},
-		{850_000, 60_000, 20_000, 25_000, 15_000, 200_000},
-		{400_000, 300_000, 100_000, 100_000, 90_000, 10_000},
-		{600_000, 80_000, 250_000, 40_000, 180_000, 60_000},
+	if math.Abs(sum-wallNs) > 1e-9*wallNs {
+		t.Fatalf("flow ns sum to %v, want wall ns %v", sum, wallNs)
 	}
-	var probes []Probe
-	for _, m := range mixes {
-		var wall float64
-		for c, n := range m {
-			wall += float64(n) * truth[c]
-		}
-		probes = append(probes, Probe{ClassCycles: m, WallNs: wall})
-	}
-	cal, err := Solve(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range truth {
-		if rel := math.Abs(cal.NsPerClass[c]-truth[c]) / truth[c]; rel > 0.05 {
-			t.Fatalf("class %d: solved %v, truth %v (rel err %.3f)",
-				c, cal.NsPerClass[c], truth[c], rel)
-		}
-	}
-	// Pricing a fresh mix with the solved calibration reconstructs its
-	// wall time.
-	test := [paper.NumT8Cols]uint64{640_000, 90_000, 70_000, 45_000, 30_000, 120_000}
-	var wall float64
-	for c, n := range test {
-		wall += float64(n) * truth[c]
-	}
-	if got := cal.Price(test); math.Abs(got-wall)/wall > 0.02 {
-		t.Fatalf("priced %v, want %v", got, wall)
-	}
-}
-
-func TestSolveDegenerateFallsBackToUniform(t *testing.T) {
-	// One probe cannot separate six classes: the ridge pull must keep
-	// the solution near the uniform rate rather than exploding.
-	probe := Probe{
-		ClassCycles: [paper.NumT8Cols]uint64{500_000, 100_000, 100_000, 100_000, 100_000, 100_000},
-		WallNs:      60e6,
-	}
-	cal, err := Solve([]Probe{probe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := 60e6 / 1_000_000.0
-	for c, ns := range cal.NsPerClass {
-		if ns < 0 || ns > 4*u {
-			t.Fatalf("class %d cost %v wild against uniform %v", c, ns, u)
-		}
-	}
-}
-
-func TestSolveRejectsEmpty(t *testing.T) {
-	if _, err := Solve(nil); err == nil {
-		t.Fatal("empty probe set must error")
+	if q := Exact(rom, ix, h, 0); q.WallNs != 0 || q.Flows[0].Ns != 0 {
+		t.Fatal("wall 0 must leave the profile unpriced")
 	}
 }
 
 func TestProfileJSONRoundTrip(t *testing.T) {
 	rom, ix := testIndex(t)
-	p := Exact(rom, ix, synthHist(ix), Uniform(55))
+	p := Exact(rom, ix, synthHist(ix), 1e6)
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -189,7 +131,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 
 func TestTableRenders(t *testing.T) {
 	rom, ix := testIndex(t)
-	p := Exact(rom, ix, synthHist(ix), Uniform(55))
+	p := Exact(rom, ix, synthHist(ix), 1e6)
 	tbl := p.Table(5)
 	if !strings.Contains(tbl, "hot flows") || !strings.Contains(tbl, p.Flows[0].Name) {
 		t.Fatalf("table missing content:\n%s", tbl)
@@ -199,7 +141,7 @@ func TestTableRenders(t *testing.T) {
 func TestDiffProfiles(t *testing.T) {
 	rom, ix := testIndex(t)
 	h1 := synthHist(ix)
-	p1 := Exact(rom, ix, h1, nil)
+	p1 := Exact(rom, ix, h1, 0)
 	// Double the hottest flow's counts in the second profile.
 	h2 := synthHist(ix)
 	hot := p1.Flows[0]
@@ -213,7 +155,7 @@ func TestDiffProfiles(t *testing.T) {
 			h2.Stalled[w] *= 2
 		}
 	}
-	p2 := Exact(rom, ix, h2, nil)
+	p2 := Exact(rom, ix, h2, 0)
 	deltas := DiffProfiles(p1, p2)
 	if len(deltas) == 0 || deltas[0].Name != hot.Name || deltas[0].ShareDelta <= 0 {
 		t.Fatalf("hottest mover should be %s gaining share; got %+v", hot.Name, deltas[0])
@@ -224,11 +166,23 @@ func TestDiffProfiles(t *testing.T) {
 	}
 }
 
+// TestClassTotalsMatchesProfile: the flows' class cycles sum, class by
+// class, to the histogram's per-bucket Table 8 classification.
 func TestClassTotalsMatchesProfile(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
-	totals := ClassTotals(rom, h)
-	p := Exact(rom, ix, h, nil)
+	var totals [paper.NumT8Cols]uint64
+	for addr := 0; addr < rom.Image.Size() && addr < upc.Buckets; addr++ {
+		normal, stalled := h.At(uint16(addr))
+		mi := rom.Image.At(uint16(addr))
+		if _, col, ok := analysis.BucketCell(mi, false); ok {
+			totals[col] += normal
+		}
+		if _, col, ok := analysis.BucketCell(mi, true); ok {
+			totals[col] += stalled
+		}
+	}
+	p := Exact(rom, ix, h, 0)
 	var fromFlows [paper.NumT8Cols]uint64
 	for _, f := range p.Flows {
 		for c, n := range f.ClassCycles {

@@ -7,11 +7,10 @@ package vax780
 // exactly the way the paper's board attributes the 780's elapsed time
 // onto its microcode. One engine serves both views: a Profiler prices
 // each workload's exact histogram at the measured wall time as the run
-// merges it, and Results.Profile prices the composite histogram after
-// the fact, under a calibration when one is given.
+// merges it, and Results.Profile attributes the composite histogram
+// after the fact, unpriced (the Results carry no wall time).
 
 import (
-	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -28,16 +27,6 @@ type Profile = prof.Profile
 
 // FlowCost is one flow's row of a Profile.
 type FlowCost = prof.FlowCost
-
-// Calibration prices simulated cycles in host ns per Table 8 class;
-// solve one with vaxprof or prof.Solve, or load one with
-// ReadCalibration.
-type Calibration = prof.Calibration
-
-// ReadCalibration loads a calibration written by vaxprof -calib-out.
-func ReadCalibration(r io.Reader) (*Calibration, error) {
-	return prof.ReadCalibration(r)
-}
 
 // flowIndex returns the flow index of the shared control store — the
 // per-ROM cached analysis (ulint.IndexFor) the profiler and vaxlint
@@ -137,13 +126,7 @@ func (p *Profiler) finishRun() *prof.Profile {
 // ns/cycle, which gives each flow its cycle share of the wall time.
 // Callers hold mu.
 func (p *Profiler) profile() *prof.Profile {
-	var cal *prof.Calibration
-	if c := p.agg.TotalCycles(); c > 0 {
-		cal = prof.Uniform(p.wallNs / float64(c))
-	}
-	pr := prof.Exact(machineROM(), flowIndex(), &p.agg, cal)
-	pr.WallNs = p.wallNs
-	return pr
+	return prof.Exact(machineROM(), flowIndex(), &p.agg, p.wallNs)
 }
 
 // Profile returns the latest published profile: cumulative while the
@@ -196,16 +179,10 @@ func profSummaryAttrs(p *prof.Profile) []slog.Attr {
 
 // Profile runs the exact attribution engine over the run's composite
 // histogram: every bucket count assigned to its owning control-store
-// flow and Table 8 class, priced by cal when non-nil (nil: cycles and
-// shares only). The histogram is bit-exact across Parallelism and the
-// calibration is a fixed input, so the profile is deterministic.
-func (r *Results) Profile(cal *Calibration) *Profile {
-	return prof.Exact(machineROM(), flowIndex(), r.hist, cal)
-}
-
-// ClassCycles sums the composite histogram per Table 8 cycle class —
-// the class-cycle vector a calibration probe pairs with a measured wall
-// time (see vaxprof -calibrate).
-func (r *Results) ClassCycles() [6]uint64 {
-	return prof.ClassTotals(machineROM(), r.hist)
+// flow and Table 8 class, with cycles and shares but no host ns (a
+// Profiler attached to the run prices the same flows at its measured
+// wall time). The histogram is bit-exact across Parallelism, so the
+// profile is deterministic.
+func (r *Results) Profile() *Profile {
+	return prof.Exact(machineROM(), flowIndex(), r.hist, 0)
 }

@@ -2,8 +2,8 @@ package vax780
 
 // Tests of the host-time profiler: the live attribution is bit-exact
 // across Parallelism (exact histograms, workload-order merge) and
-// recomposes flow for flow from Results.Profile, the calibrated
-// attribution is byte-identical seq↔par, the /prof endpoint serves the
+// recomposes flow for flow from Results.Profile, whose attribution is
+// byte-identical seq↔par, the /prof endpoint serves the
 // live profile, a profiled run's trace carries the run→workload→flow
 // hierarchy on the wall clock, and FlightDepth validation rejects
 // non-power-of-two rings up front.
@@ -12,12 +12,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"vax780/internal/obs"
-	"vax780/internal/prof"
 )
 
 // profiledRun executes cfg with a fresh profiler attached and returns
@@ -81,14 +81,13 @@ func TestProfilerParallelBitExact(t *testing.T) {
 		t.Error("profiled ledger carries no prof event")
 	}
 
-	// A calibrated attribution of the composite histogram, which is
-	// already bit-exact seq↔par, must serialize identically too.
-	cal := prof.Uniform(10)
-	sj, err := json.Marshal(sres.Profile(cal))
+	// The attribution of the composite histogram, which is already
+	// bit-exact seq↔par, must serialize identically too.
+	sj, err := json.Marshal(sres.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := json.Marshal(pres.Profile(cal))
+	pj, err := json.Marshal(pres.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,8 @@ func TestProfilerParallelBitExact(t *testing.T) {
 // exact histogram, so its final profile recomposes from ground truth
 // at every Parallelism — flow for flow (cycles, class cycles, share)
 // equal to Results.Profile, its total equal to the composite
-// histogram's, and the ledger prof event's cycles equal to run-done's.
+// histogram's, its flow ns summing to its wall time, and the ledger
+// prof event's cycles equal to run-done's.
 func TestProfilerRecomposesExact(t *testing.T) {
 	cfg := RunConfig{
 		Instructions: 2000,
@@ -116,7 +116,7 @@ func TestProfilerRecomposesExact(t *testing.T) {
 		if total := res.Histogram().TotalCycles(); got.TotalCycles != total {
 			t.Errorf("-j %d: profile holds %d cycles, histogram %d", j, got.TotalCycles, total)
 		}
-		want := res.Profile(nil).Flows
+		want := res.Profile().Flows
 		if len(got.Flows) != len(want) {
 			t.Fatalf("-j %d: %d flows, exact profile has %d", j, len(got.Flows), len(want))
 		}
@@ -127,6 +127,13 @@ func TestProfilerRecomposesExact(t *testing.T) {
 				t.Errorf("-j %d: flow %d = %s %d %v %g, exact %s %d %v %g", j, i,
 					f.Name, f.Cycles, f.ClassCycles, f.Share, w.Name, w.Cycles, w.ClassCycles, w.Share)
 			}
+		}
+		var ns float64
+		for _, f := range got.Flows {
+			ns += f.Ns
+		}
+		if got.WallNs <= 0 || math.Abs(ns-got.WallNs) > 1e-9*got.WallNs {
+			t.Errorf("-j %d: flow ns sum to %g, wall %g", j, ns, got.WallNs)
 		}
 
 		cycles := map[string]uint64{}

@@ -298,7 +298,9 @@ func (c *RunConfig) Validate() error {
 	d := mem.Default()
 	bytes, ways := cmp.Or(c.CacheBytes, d.CacheBytes), cmp.Or(c.CacheWays, d.CacheWays)
 	entries := cmp.Or(c.TBEntries, d.TBEntries)
-	if set := ways * d.CacheBlock; bytes%set != 0 {
+	// More ways than blocks can never divide evenly; checking that first
+	// also keeps ways × block from overflowing (to zero, say).
+	if ways > bytes/d.CacheBlock || bytes%(ways*d.CacheBlock) != 0 {
 		return fmt.Errorf("%w: CacheBytes %d is not a multiple of %d ways × %d-byte block",
 			ErrBadConfig, bytes, ways, d.CacheBlock)
 	}
@@ -649,7 +651,7 @@ func (s *runState) merge(id WorkloadID, one *oneRun, retries int, plan *faults.P
 		ws.Child("retry", "retries").Attr("count", retries)
 	}
 	if s.span != nil {
-		p := prof.Exact(machineROM(), flowIndex(), one.hist, nil)
+		p := prof.Exact(machineROM(), flowIndex(), one.hist, 0)
 		for _, f := range p.Top(traceMaxFlows) {
 			ws.Child("flow", f.Name).
 				Attr("entry", int(f.Entry)).

@@ -230,6 +230,8 @@ func TestValidateHardware(t *testing.T) {
 		{"3-way cache", RunConfig{CacheWays: 3}},
 		{"7-entry TB", RunConfig{TBEntries: 7}},
 		{"negative ways", RunConfig{CacheWays: -2}},
+		{"more ways than blocks", RunConfig{CacheWays: 2048}},
+		{"ways × block overflows", RunConfig{CacheWays: 1 << 62}},
 		{"negative TB", RunConfig{TBEntries: -128}},
 		{"negative write busy", RunConfig{WriteBusy: -1}},
 		{"negative headway", RunConfig{CtxSwitchHeadway: -1}},
