@@ -107,9 +107,8 @@ func (r *Results) HotSpots(n int) []HotSpot {
 	var all []HotSpot
 	lastLabel := ""
 	for addr := 0; addr < img.Size(); addr++ {
-		mi := img.At(uint16(addr))
-		if mi.Label != "" {
-			lastLabel = mi.Label
+		if l := img.Label[addr]; l != "" {
+			lastLabel = l
 		}
 		norm, stall := h.At(uint16(addr))
 		if norm+stall == 0 {
@@ -118,7 +117,7 @@ func (r *Results) HotSpots(n int) []HotSpot {
 		all = append(all, HotSpot{
 			Addr:    uint16(addr),
 			Label:   lastLabel,
-			Region:  mi.Region.String(),
+			Region:  img.At(uint16(addr)).Region.String(),
 			Cycles:  norm + stall,
 			Stalled: stall,
 		})

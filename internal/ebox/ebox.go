@@ -223,7 +223,7 @@ func (e *EBOX) run(entry uint16) error {
 		mi := e.ROM.Image.At(e.upc)
 
 		if mi.Loop != ucode.LoopNone {
-			e.loop = e.loopCount(mi.Loop, mi.N)
+			e.loop = e.loopCount(mi.Loop, int(mi.N))
 		}
 
 		if mi.Mem != ucode.MemNone {

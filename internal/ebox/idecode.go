@@ -164,10 +164,15 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 		stallLoc = e.ROM.IBStallSpec1
 	}
 
-	var ds vax.DecodedSpec
+	typ := info.Specs[e.specIdx].Type
+	var (
+		mode    vax.AddrMode
+		indexed bool
+		n       int
+	)
 	for {
 		var err error
-		ds, err = vax.DecodeSpec(e.IB.Bytes(), info.Specs[e.specIdx].Type)
+		mode, indexed, n, err = vax.DecodeShape(e.IB.Bytes(), typ)
 		if err == nil {
 			break
 		}
@@ -183,6 +188,10 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 	}
 
 	if e.Strict {
+		ds, err := vax.DecodeSpec(e.IB.Bytes(), typ)
+		if err != nil {
+			return 0, fmt.Errorf("specifier decode: %w", err)
+		}
 		want := in.Specs[e.specIdx]
 		if ds.Mode != want.Mode || ds.Index != want.Index {
 			return 0, fmt.Errorf("specifier %d decode mismatch at PC %#x: decoded %v[idx %d], trace %v[idx %d]",
@@ -190,7 +199,7 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 		}
 	}
 
-	if err := e.IB.Consume(ds.Len); err != nil {
+	if err := e.IB.Consume(n); err != nil {
 		return 0, e.machineCheck(faults.CodeIBOverrun, "ebox.dispatchSpec",
 			e.IB.BufVA(), err)
 	}
@@ -202,13 +211,13 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 	e.specIdx++
 
 	variant := urom.VariantFor(info.Specs[e.curSpec].Access)
-	if ds.Index >= 0 {
+	if indexed {
 		// Indexed: one preamble cycle in this position's region, then the
 		// shared SPEC2-6 base flow (the paper's attribution artifact).
-		e.pendBase = e.ROM.SpecEntry[1][ds.Mode][variant]
+		e.pendBase = e.ROM.SpecEntry[1][mode][variant]
 		return e.ROM.IdxEntry[pos], nil
 	}
-	return e.ROM.SpecEntry[pos][ds.Mode][variant], nil
+	return e.ROM.SpecEntry[pos][mode][variant], nil
 }
 
 // execEntry selects the execute flow entry for op, applying the

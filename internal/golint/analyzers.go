@@ -10,9 +10,10 @@ import (
 // HotTarget names one function on the per-cycle hot path: the EBOX and
 // IBOX tick functions, the monitor's inlined count pulse and the
 // telemetry observers' per-cycle hooks, which run once per simulated
-// 200 ns cycle, and the cache and TB probes, which run once per memory
-// reference inside that loop. Recv is the receiver type name ("" for
-// plain functions).
+// 200 ns cycle, and the cache and TB probes, the address translation,
+// the IB refill and the specifier decode, which run once per memory
+// reference, refill or specifier inside that loop. Recv is the receiver
+// type name ("" for plain functions).
 type HotTarget struct {
 	PkgPath string
 	Recv    string
@@ -23,6 +24,7 @@ type HotTarget struct {
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
+	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "accept"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
@@ -32,6 +34,8 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "access"},
 	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "lookup"},
 	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "insert"},
+	{PkgPath: "vax780/internal/mem", Recv: "System", Func: "Translate"},
+	{PkgPath: "vax780/internal/vax", Recv: "", Func: "DecodeShape"},
 }
 
 // HotPathAnalyzer flags heap allocations, defers, goroutine launches,

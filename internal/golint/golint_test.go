@@ -297,6 +297,24 @@ func TestRepoInvariants(t *testing.T) {
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d)
 	}
+
+	// A hot target that names no function guards nothing: every entry
+	// must match a declaration.
+	declared := make(map[HotTarget]bool)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					declared[HotTarget{PkgPath: pkg.Path, Recv: recvTypeName(fd), Func: fd.Name.Name}] = true
+				}
+			}
+		}
+	}
+	for _, tg := range DefaultHotTargets {
+		if !declared[tg] {
+			t.Errorf("hot target %+v matches no function declaration", tg)
+		}
+	}
 }
 
 func TestListPackagesFindsKnown(t *testing.T) {

@@ -12,6 +12,7 @@
 package ibox
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"vax780/internal/mem"
@@ -25,11 +26,14 @@ var ErrConsumeOverrun = errors.New("ibox: consume beyond buffer")
 // Capacity is the size of the instruction buffer in bytes.
 const Capacity = 8
 
-// ByteSource supplies the actual instruction-stream bytes at a virtual
-// address (the machine's materialized code image). ok=false means no code
-// is materialized there; the IB receives a zero filler byte, which the
-// decode path never consumes.
-type ByteSource func(va uint32) (b byte, ok bool)
+// CodePageBytes is the size of one page of the code image.
+const CodePageBytes = 512
+
+// PageSource supplies the actual instruction-stream bytes: the page of
+// the machine's materialized code image that holds va, or nil when no
+// code is materialized there. Bytes that hold no code read as zero, and
+// the IB receives them as filler, which the decode path never consumes.
+type PageSource func(va uint32) *[CodePageBytes]byte
 
 // Probe is the passive telemetry hook of the I-Fetch stage; nil on an
 // uninstrumented machine (the fast path).
@@ -51,7 +55,12 @@ type FaultInjector interface {
 // IBox is the I-Fetch stage.
 type IBox struct {
 	mem *mem.System
-	src ByteSource
+	src PageSource
+
+	// code is the page of the code image last refilled from, and
+	// codePage its page number (a nil page is looked up again).
+	code     *[CodePageBytes]byte
+	codePage uint32
 
 	// Probe, when non-nil, observes refills and I-stream TB misses.
 	Probe Probe
@@ -59,6 +68,9 @@ type IBox struct {
 	// Fault, when non-nil, injects refill drops.
 	Fault FaultInjector
 
+	// buf holds the buffered bytes, buf[0] at bufVA, little-endian: as
+	// a uint64, byte i is bits 8i..8i+7, so Consume is one shift. Bytes
+	// past bufLen are don't-cares.
 	buf     [Capacity]byte
 	bufLen  int
 	bufVA   uint32 // VA of buf[0]
@@ -79,7 +91,7 @@ type IBox struct {
 }
 
 // New builds an IBox over the given memory system and code image.
-func New(m *mem.System, src ByteSource) *IBox {
+func New(m *mem.System, src PageSource) *IBox {
 	return &IBox{mem: m, src: src}
 }
 
@@ -98,7 +110,7 @@ func (ib *IBox) Consume(n int) error {
 		// the machine-check that wraps it records the VA and fault site.
 		return ErrConsumeOverrun
 	}
-	copy(ib.buf[:], ib.buf[n:ib.bufLen])
+	binary.LittleEndian.PutUint64(ib.buf[:], binary.LittleEndian.Uint64(ib.buf[:])>>(8*n))
 	ib.bufLen -= n
 	ib.bufVA += uint32(n)
 	ib.Consumed += uint64(n)
@@ -177,21 +189,31 @@ func (ib *IBox) tickSlow(now uint64) {
 // room for right now, starting at fetchVA (§4.1). An attached fault
 // injector may drop the longword in transit; the IB simply refetches,
 // costing cycles but never correctness.
+//
+// The bytes come from the cached code page as one aligned 32-bit load
+// (a longword never straddles a page) and land in the buffer with one
+// 64-bit merge.
 func (ib *IBox) accept() {
 	ib.pending = false
-	if ib.Fault != nil && ib.Fault.DropRefill(ib.fetchVA) {
-		return
+	va := ib.fetchVA
+	if ib.Fault != nil {
+		if ib.Fault.DropRefill(va) {
+			return
+		}
 	}
-	inLongword := 4 - int(ib.fetchVA&3)
-	room := Capacity - ib.bufLen
-	take := inLongword
-	if take > room {
-		take = room
+	take := min(4-int(va&3), Capacity-ib.bufLen)
+	if pg := va / CodePageBytes; pg != ib.codePage || ib.code == nil {
+		ib.code, ib.codePage = ib.src(va), pg
 	}
-	for i := 0; i < take; i++ {
-		b, _ := ib.src(ib.fetchVA + uint32(i))
-		ib.buf[ib.bufLen+i] = b
+	var lw uint64
+	if ib.code != nil {
+		lw = uint64(binary.LittleEndian.Uint32(ib.code[va%CodePageBytes&^3:])) >> (8 * (va & 3))
 	}
+	// Bytes at and past bufLen are don't-cares: the merge masks them off
+	// below the new bytes, and bytes the longword carries past take land
+	// past the new bufLen.
+	buffered := binary.LittleEndian.Uint64(ib.buf[:]) & (1<<(8*ib.bufLen) - 1)
+	binary.LittleEndian.PutUint64(ib.buf[:], buffered|lw<<(8*ib.bufLen))
 	ib.bufLen += take
 	ib.fetchVA += uint32(take)
 	ib.mem.NoteIBytes(take)

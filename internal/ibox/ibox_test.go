@@ -2,18 +2,25 @@ package ibox
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"vax780/internal/mem"
 )
 
-// linearSource returns va&0xFF for every materialized address.
-func linearSource(materialized map[uint32]bool) ByteSource {
-	return func(va uint32) (byte, bool) {
-		if materialized != nil && !materialized[va] {
-			return 0, false
+// linearSource returns pages holding va&0xFF at every va, for the given
+// page numbers (nil: every page).
+func linearSource(materialized map[uint32]bool) PageSource {
+	return func(va uint32) *[CodePageBytes]byte {
+		pg := va / CodePageBytes
+		if materialized != nil && !materialized[pg] {
+			return nil
 		}
-		return byte(va), true
+		var page [CodePageBytes]byte
+		for i := range page {
+			page[i] = byte(pg*CodePageBytes + uint32(i))
+		}
+		return &page
 	}
 }
 
@@ -168,18 +175,21 @@ func TestBytesDeliveredAccounting(t *testing.T) {
 }
 
 func TestUnmaterializedBytesAreZero(t *testing.T) {
-	mat := map[uint32]bool{0x1000: true}
+	// Page 0x1000/512 holds code; the next page holds none, so the IB
+	// filled from 4 bytes before the boundary gets the linear pattern,
+	// then zero filler.
+	mat := map[uint32]bool{0x1000 / CodePageBytes: true}
 	m := mem.New(mem.Config{})
 	ib := New(m, linearSource(mat))
-	warmIB(t, ib, m, 0x1000)
-	b := ib.Bytes()
-	if b[0] != 0x00 {
-		t.Errorf("materialized byte wrong: %#x", b[0])
-	}
-	// 0x1000&0xFF = 0 anyway; check a non-materialized one differs from
-	// the linear pattern (it must be zero filler).
-	if b[1] != 0 {
-		t.Errorf("unmaterialized byte = %#x, want 0", b[1])
+	warmIB(t, ib, m, 0x11FC)
+	for i, b := range ib.Bytes() {
+		want := byte(0xFC + i)
+		if i >= 4 {
+			want = 0
+		}
+		if b != want {
+			t.Errorf("byte %d = %#x, want %#x", i, b, want)
+		}
 	}
 }
 
@@ -189,5 +199,39 @@ func TestForceResyncCounts(t *testing.T) {
 	ib.ForceResync(0x5000)
 	if ib.Resyncs != 1 || ib.BufVA() != 0x5000 {
 		t.Errorf("resync: count=%d va=%#x", ib.Resyncs, ib.BufVA())
+	}
+}
+
+// TestBufferMirrorsCodeStream drives the IB through random consumes and
+// redirects at every alignment, across page boundaries, and checks after
+// every cycle that the buffer holds exactly the code bytes from BufVA
+// on: the word-wide refill merge and the shifting Consume must never
+// drop, repeat or misplace a byte.
+func TestBufferMirrorsCodeStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := mem.New(mem.Config{})
+	ib := New(m, linearSource(nil))
+	for pg := uint32(0x1000); pg < 0x1000+8*512; pg += 512 {
+		m.InsertTB(pg)
+	}
+	ib.Redirect(0x1000 + 509)
+	for now := uint64(0); now < 20_000; now++ {
+		ib.Tick(now, rng.Intn(4) != 0)
+		for i, b := range ib.Bytes() {
+			if want := byte(ib.BufVA() + uint32(i)); b != want {
+				t.Fatalf("cycle %d: byte %d at VA %#x = %#x, want %#x", now, i, ib.BufVA()+uint32(i), b, want)
+			}
+		}
+		switch n := len(ib.Bytes()); {
+		case rng.Intn(50) == 0:
+			ib.Redirect(0x1000 + uint32(rng.Intn(6*512)))
+		case n > 0 && rng.Intn(3) == 0:
+			if err := ib.Consume(1 + rng.Intn(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ib.Consumed == 0 {
+		t.Fatal("stream consumed nothing")
 	}
 }

@@ -112,6 +112,12 @@ var specValidateCases = []struct {
 	{"default length at limit", Spec{Points: labeled(maxWork / 250_000)}, true},
 	{"default length over limit", Spec{Points: labeled(maxWork/250_000 + 1)}, false},
 	{"huge instructions", Spec{Instructions: math.MaxInt}, false},
+	// Each hardware upper bound itself (one past it is in badHardwareSpecs).
+	{"cache at main memory", Spec{CacheBytes: 8 << 20}, true},
+	{"TB at page frames", Spec{TBEntries: 16384}, true},
+	{"latencies at cap", Spec{MissLatency: 1000, WriteBusy: 1000}, true},
+	{"sweep point at bounds", Spec{Points: []Point{{Label: "max", CacheBytes: 8 << 20, TBEntries: 16384,
+		MissLatency: 1000, WriteBusy: 1000}}}, true},
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -138,6 +144,19 @@ var badHardwareSpecs = []Spec{
 	{Points: []Point{{Label: "7-entry TB", TBEntries: 7}}},
 	{CtxSwitchHeadway: -1},
 	{Points: []Point{{Label: "ok"}, {Label: "negative headway", CtxSwitchHeadway: -1}}},
+	// One past each upper bound (vax780.RunConfig.Validate), on the spec
+	// and on a sweep point, and the sizes that once validated.
+	{CacheBytes: 8<<20 + 16},
+	{TBEntries: 16384 + 4},
+	{MissLatency: 1001},
+	{WriteBusy: 1001},
+	{Points: []Point{{Label: "ok"}, {Label: "big cache", CacheBytes: 8<<20 + 16}}},
+	{Points: []Point{{Label: "big TB", TBEntries: 16384 + 4}}},
+	{Points: []Point{{Label: "slow memory", MissLatency: 1001}}},
+	{Points: []Point{{Label: "slow writes", WriteBusy: 1001}}},
+	{CacheBytes: 1 << 40},
+	{TBEntries: 1 << 40},
+	{Points: []Point{{Label: "terabyte cache", CacheBytes: 1 << 40}}},
 }
 
 // TestSpecValidateHardware: a spec or sweep point naming a machine the

@@ -157,14 +157,9 @@ type Machine struct {
 	prog    *workload.Program
 	started bool
 
-	// Hot code-page cache for the IB byte source (one machine = one
-	// goroutine, so this needs no locking).
-	cachePage uint32
-	cacheData *[512]byte
-	cacheUsed *[512]bool
-	inInt     bool   // executing on the interrupt stack
-	savedSP   uint32 // process SP while on the interrupt stack
-	curASID   uint32
+	inInt   bool   // executing on the interrupt stack
+	savedSP uint32 // process SP while on the interrupt stack
+	curASID uint32
 
 	// ctxBuf is the reused execution-context buffer: one InstrCtx per
 	// machine instead of one per instruction (the context is dead once
@@ -172,21 +167,6 @@ type Machine struct {
 	ctxBuf ebox.InstrCtx
 
 	procSP map[uint32]uint32 // per-process saved stack pointers
-}
-
-// codeByte is the IB's byte source: Program.Byte with a one-page cache
-// (instruction fetch is overwhelmingly sequential within a page).
-func (m *Machine) codeByte(va uint32) (byte, bool) {
-	pg := va >> 9
-	if pg != m.cachePage || m.cacheData == nil {
-		m.cacheData, m.cacheUsed = m.prog.Page(va)
-		m.cachePage = pg
-	}
-	if m.cacheData == nil {
-		return 0, false
-	}
-	off := va & 511
-	return m.cacheData[off], m.cacheUsed[off]
 }
 
 // sharedROM is built once: the microprogram is immutable.
@@ -204,7 +184,7 @@ func New(cfg Config, prog *workload.Program) *Machine {
 		prog:   prog,
 		procSP: make(map[uint32]uint32),
 	}
-	m.IB = ibox.New(m.Mem, m.codeByte)
+	m.IB = ibox.New(m.Mem, prog.Page)
 	var mon ebox.Monitor
 	if cfg.Monitor != nil {
 		mon = cfg.Monitor

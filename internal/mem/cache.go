@@ -6,20 +6,26 @@ import "math/bits"
 // no write-allocate. Both the D-stream and the IB refill path reference
 // it; a read miss fills the block, a write updates only on hit.
 //
-// The state is flat: way w of set s lives at index s*ways+w of tags and
-// valid. A tag is the whole block number, so the set index is the only
-// division an access needs, and sets reduces it to two multiplies.
+// The state is flat: way w of set s lives at index s*ways+w of tags. A
+// tag word is the whole block number with validBit set, so a probe is one
+// compare per way and an invalid way (tag 0) never matches. The set index
+// is the only division an access needs, and sets reduces it to two
+// multiplies.
 type Cache struct {
 	ways      int
 	sets      divisor
 	blockBits uint
 
-	tags  []uint32
-	valid []bool
+	tags []uint32
 	// round-robin victim pointer per set (the 780 used random
 	// replacement; round-robin is the standard deterministic stand-in).
 	victim []uint32
 }
+
+// validBit marks a tag word (cache or TB) as holding an entry. Block and
+// page numbers never reach it: mem.New requires cache blocks and pages of
+// at least 2 bytes, so both are 31-bit numbers.
+const validBit = 1 << 31
 
 func newCache(bytes, ways, block int) *Cache {
 	sets := max(bytes/(ways*block), 1)
@@ -28,7 +34,6 @@ func newCache(bytes, ways, block int) *Cache {
 		sets:      newDivisor(sets),
 		blockBits: log2(block),
 		tags:      make([]uint32, sets*ways),
-		valid:     make([]bool, sets*ways),
 		victim:    make([]uint32, sets),
 	}
 }
@@ -68,20 +73,24 @@ func (c *Cache) access(pa uint32, allocate bool) bool {
 	blk := pa >> c.blockBits
 	set := c.sets.mod(blk)
 	base := int(set) * c.ways
-	tags, valid := c.tags[base:base+c.ways], c.valid[base:base+c.ways]
-	for w, tag := range tags {
-		if valid[w] && tag == blk {
+	tags := c.tags[base : base+c.ways]
+	want := blk | validBit
+	for _, tag := range tags {
+		if tag == want {
 			return true
 		}
 	}
 	if allocate {
-		v := c.victim[set] % uint32(c.ways)
-		c.victim[set]++
-		tags[v] = blk
-		valid[v] = true
+		v := c.victim[set]
+		next := v + 1
+		if next == uint32(len(tags)) {
+			next = 0
+		}
+		c.victim[set] = next
+		tags[v] = want
 	}
 	return false
 }
 
 // Flush invalidates the whole cache.
-func (c *Cache) Flush() { clear(c.valid) }
+func (c *Cache) Flush() { clear(c.tags) }

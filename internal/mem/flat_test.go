@@ -78,6 +78,13 @@ func (c *nestedCache) flush() {
 	}
 }
 
+// tbEntry is the nested TB's entry: a page number and a separate valid
+// flag, where the flat TB packs both into one tag word.
+type tbEntry struct {
+	vpn   uint32
+	valid bool
+}
+
 type nestedTB struct {
 	ways, sets int
 	entries    [2][][]tbEntry

@@ -180,6 +180,14 @@ type System struct {
 
 	asid uint32 // current process context for process-space translation
 
+	// The page size is a power of two: a VA splits into its page number
+	// (va >> pageShift) and offset (va & pageMask). frames and pteHalf
+	// reduce frame keys and PTE offsets without a division.
+	pageShift uint
+	pageMask  uint32
+	frames    divisor // page frames in main memory
+	pteHalf   divisor // bytes in each half of the page-table region
+
 	// sbiFreeAt is the cycle at which the SBI finishes its current
 	// transaction; concurrent activity queues behind it.
 	sbiFreeAt uint64
@@ -188,9 +196,23 @@ type System struct {
 }
 
 // New builds a memory system from cfg (zero fields take 11/780 defaults).
+// PageBytes must be a power of two and CacheBlock at least 2 bytes; New
+// panics otherwise.
 func New(cfg Config) *System {
 	cfg.fillDefaults()
-	s := &System{cfg: cfg}
+	if p := cfg.PageBytes; p < 2 || p&(p-1) != 0 {
+		panic(fmt.Sprintf("mem: PageBytes %d is not a power of two ≥ 2", p))
+	}
+	if cfg.CacheBlock < 2 {
+		panic(fmt.Sprintf("mem: CacheBlock %d is below 2 bytes", cfg.CacheBlock))
+	}
+	s := &System{
+		cfg:       cfg,
+		pageShift: log2(cfg.PageBytes),
+		pageMask:  uint32(cfg.PageBytes - 1),
+		frames:    newDivisor(cfg.MemoryBytes / cfg.PageBytes),
+		pteHalf:   newDivisor(cfg.PTERegionBytes / 2),
+	}
 	s.tb = newTB(cfg.TBEntries, cfg.TBWays)
 	s.cache = newCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock)
 	return s
@@ -240,19 +262,18 @@ func systemSpace(va uint32) bool { return va&0x8000_0000 != 0 }
 // before retrying.
 func (s *System) Translate(va uint32) (pa uint32, ok bool) {
 	s.recordVA(va)
-	vpn := va / uint32(s.cfg.PageBytes)
+	vpn := va >> s.pageShift
 	sys := systemSpace(va)
 	if !s.tb.lookup(vpn, sys) {
 		return 0, false
 	}
-	return s.frame(vpn, sys) + va%uint32(s.cfg.PageBytes), true
+	return s.frame(vpn, sys) | va&s.pageMask, true
 }
 
 // InsertTB installs the translation for va, evicting as needed. Called by
 // the TB-miss microcode flow after its PTE fetch.
 func (s *System) InsertTB(va uint32) {
-	vpn := va / uint32(s.cfg.PageBytes)
-	s.tb.insert(vpn, systemSpace(va))
+	s.tb.insert(va>>s.pageShift, systemSpace(va))
 }
 
 // frame deterministically assigns a physical frame to each (space, asid,
@@ -265,22 +286,20 @@ func (s *System) frame(vpn uint32, sys bool) uint32 {
 	} else {
 		key = key * 2246822519
 	}
-	frames := uint32(s.cfg.MemoryBytes / s.cfg.PageBytes)
-	return (key % frames) * uint32(s.cfg.PageBytes)
+	return s.frames.mod(key) << s.pageShift
 }
 
 // PTEAddr returns the physical address of the page table entry mapping
 // va. Adjacent pages have adjacent PTEs, so PTE reads enjoy the spatial
 // locality the real machine's page tables had.
 func (s *System) PTEAddr(va uint32) uint32 {
-	vpn := va / uint32(s.cfg.PageBytes)
+	vpn := va >> s.pageShift
 	base := uint32(s.cfg.MemoryBytes - s.cfg.PTERegionBytes)
 	var off uint32
 	if systemSpace(va) {
-		off = (vpn * 4) % uint32(s.cfg.PTERegionBytes/2)
+		off = s.pteHalf.mod(vpn * 4)
 	} else {
-		off = uint32(s.cfg.PTERegionBytes/2) +
-			((s.asid*16384+vpn)*4)%uint32(s.cfg.PTERegionBytes/2)
+		off = uint32(s.cfg.PTERegionBytes/2) + s.pteHalf.mod((s.asid*16384+vpn)*4)
 	}
 	return base + off
 }

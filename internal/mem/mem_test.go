@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -343,5 +344,54 @@ func TestTracingOffByDefault(t *testing.T) {
 	s.Translate(0x1000)
 	if s.Trace != nil || s.VTrace != nil {
 		t.Error("tracing should be nil by default")
+	}
+}
+
+// TestTranslateMatchesDivision holds the shift-and-mask translation to
+// the division-based formulas it replaced: frame = (key % frames) ×
+// page, offset = va % page, and the PTE offset modulo half the region.
+func TestTranslateMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(512))
+	for _, page := range []int{2, 512, 4096} {
+		s := New(Config{PageBytes: page})
+		cfg := s.Config()
+		pg, frames, half := uint32(page), uint32(cfg.MemoryBytes/page), uint32(cfg.PTERegionBytes/2)
+		for i := 0; i < 5000; i++ {
+			va, asid := rng.Uint32(), uint32(rng.Intn(40))
+			s.SetASID(asid)
+			s.InsertTB(va)
+			pa, ok := s.Translate(va)
+			if !ok {
+				t.Fatalf("page %d: %#x missed right after InsertTB", page, va)
+			}
+			vpn := va / pg
+			key := vpn * 2246822519
+			wantPTE := uint32(cfg.MemoryBytes-cfg.PTERegionBytes) + (vpn*4)%half
+			if !systemSpace(va) {
+				key = vpn*2654435761 + asid*40503
+				wantPTE = uint32(cfg.MemoryBytes-cfg.PTERegionBytes) + half + ((asid*16384+vpn)*4)%half
+			}
+			if want := (key%frames)*pg + va%pg; pa != want {
+				t.Fatalf("page %d: Translate(%#x) = %#x, want %#x", page, va, pa, want)
+			}
+			if got := s.PTEAddr(va); got != wantPTE {
+				t.Fatalf("page %d: PTEAddr(%#x) = %#x, want %#x", page, va, got, wantPTE)
+			}
+		}
+	}
+}
+
+// TestNewRejectsUnpackableGeometry: New requires a power-of-two page and
+// cache blocks of at least 2 bytes (tag words keep bit 31 for valid).
+func TestNewRejectsUnpackableGeometry(t *testing.T) {
+	for _, cfg := range []Config{{PageBytes: 384}, {PageBytes: 1}, {PageBytes: -512}, {CacheBlock: 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
 	}
 }

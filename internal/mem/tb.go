@@ -9,35 +9,32 @@ type TB struct {
 	ways int
 	sets divisor // sets per half
 
-	// entries[half][set*ways+way]; half 0 = process, 1 = system. Both
-	// halves are slices of one backing array.
-	entries [2][]tbEntry
+	// tags[half][set*ways+way] is the entry's page number with validBit
+	// set (0: invalid); half 0 = process, 1 = system. Both halves are
+	// slices of one backing array.
+	tags [2][]uint32
 	// clock drives round-robin replacement, as the real TB's random
-	// replacement is well-approximated by it at this granularity.
+	// replacement is well-approximated by it at this granularity. It
+	// counts modulo ways.
 	clock uint32
-}
-
-type tbEntry struct {
-	vpn   uint32
-	valid bool
 }
 
 func newTB(entries, ways int) *TB {
 	setsPerHalf := max(entries/2/ways, 1)
 	n := setsPerHalf * ways
-	all := make([]tbEntry, 2*n)
+	all := make([]uint32, 2*n)
 	return &TB{
-		ways:    ways,
-		sets:    newDivisor(setsPerHalf),
-		entries: [2][]tbEntry{all[:n:n], all[n:]},
+		ways: ways,
+		sets: newDivisor(setsPerHalf),
+		tags: [2][]uint32{all[:n:n], all[n:]},
 	}
 }
 
-// set returns the ways of vpn's set in the given space.
-func (t *TB) set(vpn uint32, sys bool) []tbEntry {
-	half := t.entries[0]
+// set returns the tag words of vpn's set in the given space.
+func (t *TB) set(vpn uint32, sys bool) []uint32 {
+	half := t.tags[0]
 	if sys {
-		half = t.entries[1]
+		half = t.tags[1]
 	}
 	base := int(t.sets.mod(vpn)) * t.ways
 	return half[base : base+t.ways]
@@ -45,9 +42,9 @@ func (t *TB) set(vpn uint32, sys bool) []tbEntry {
 
 // lookup probes the TB for vpn in the given space.
 func (t *TB) lookup(vpn uint32, sys bool) bool {
-	set := t.set(vpn, sys)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+	want := vpn | validBit
+	for _, tag := range t.set(vpn, sys) {
+		if tag == want {
 			return true
 		}
 	}
@@ -57,22 +54,26 @@ func (t *TB) lookup(vpn uint32, sys bool) bool {
 // insert installs vpn, evicting round-robin within its set.
 func (t *TB) insert(vpn uint32, sys bool) {
 	set := t.set(vpn, sys)
+	want := vpn | validBit
 	w := -1
-	for i := range set {
-		if !set[i].valid {
+	for i, tag := range set {
+		if tag == 0 {
 			w = i
 			break
 		}
-		if set[i].vpn == vpn {
+		if tag == want {
 			return
 		}
 	}
 	if w < 0 {
 		t.clock++
-		w = int(t.clock % uint32(t.ways))
+		if t.clock == uint32(t.ways) {
+			t.clock = 0
+		}
+		w = int(t.clock)
 	}
-	set[w].vpn, set[w].valid = vpn, true
+	set[w] = want
 }
 
 // flushProcess invalidates the process half.
-func (t *TB) flushProcess() { clear(t.entries[0]) }
+func (t *TB) flushProcess() { clear(t.tags[0]) }

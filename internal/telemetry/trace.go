@@ -144,10 +144,9 @@ func newTracer(rom *urom.ROM, maxEvents int) *Tracer {
 	}
 	var lastLabel string
 	for addr := 0; addr < size; addr++ {
-		mi := rom.Image.At(uint16(addr))
-		tr.region[addr] = mi.Region
-		if mi.Label != "" {
-			lastLabel = mi.Label
+		tr.region[addr] = rom.Image.At(uint16(addr)).Region
+		if l := rom.Image.Label[addr]; l != "" {
+			lastLabel = l
 		}
 		tr.label[addr] = lastLabel
 	}

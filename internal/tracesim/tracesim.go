@@ -153,7 +153,7 @@ func (m *Model) walk(entry uint16, in *vax.Instr, dstSpec int) (int, error) {
 		cycles++
 
 		if mi.Loop != ucode.LoopNone {
-			loop = m.loopCount(mi.Loop, mi.N, in)
+			loop = m.loopCount(mi.Loop, int(mi.N), in)
 		}
 
 		switch mi.Seq {

@@ -11,10 +11,12 @@ import (
 // reference each other in any order (the microcode-sharing jumps depend on
 // this).
 type Assembler struct {
-	insts  []MicroInst
-	labels map[string]uint16
-	fixups []fixup
-	region Region
+	insts    []MicroInst
+	names    []string // listing label per location
+	comments []string // listing comment per location
+	labels   map[string]uint16
+	fixups   []fixup
+	region   Region
 	// pending holds labels bound since the last emit, waiting to be
 	// attached to the next emitted instruction. Indexing them here keeps
 	// emit O(1); the old implementation scanned the whole label map per
@@ -31,9 +33,12 @@ type fixup struct {
 // NewAssembler returns an empty assembler. Address 0 is reserved as an
 // invalid location (the real machine's microaddress 0 is the reset entry).
 func NewAssembler() *Assembler {
-	a := &Assembler{labels: make(map[string]uint16)}
-	a.insts = append(a.insts, MicroInst{Label: "reset", Comment: "reserved"})
-	return a
+	return &Assembler{
+		insts:    []MicroInst{{}},
+		names:    []string{"reset"},
+		comments: []string{"reserved"},
+		labels:   make(map[string]uint16),
+	}
 }
 
 // Region sets the region tag applied to subsequently emitted locations.
@@ -56,13 +61,16 @@ func (a *Assembler) Label(name string) *Assembler {
 // emit appends one microinstruction in the current region, attaching the
 // first label bound to this address (deterministically — the map scan
 // this replaces picked one in map iteration order).
-func (a *Assembler) emit(mi MicroInst) *Assembler {
+func (a *Assembler) emit(mi MicroInst, comment string) *Assembler {
 	mi.Region = a.region
-	if mi.Label == "" && len(a.pending) > 0 {
-		mi.Label = a.pending[0]
+	name := ""
+	if len(a.pending) > 0 {
+		name = a.pending[0]
 	}
 	a.pending = a.pending[:0]
 	a.insts = append(a.insts, mi)
+	a.names = append(a.names, name)
+	a.comments = append(a.comments, comment)
 	return a
 }
 
@@ -73,19 +81,22 @@ func (a *Assembler) Compute(n int, comment string) *Assembler {
 		if n > 1 {
 			c = fmt.Sprintf("%s (%d/%d)", comment, i+1, n)
 		}
-		a.emit(MicroInst{Seq: SeqNext, Comment: c})
+		a.emit(MicroInst{Seq: SeqNext}, c)
 	}
 	return a
 }
 
 // Mem emits one memory-function cycle.
 func (a *Assembler) Mem(f MemFunc, comment string) *Assembler {
-	return a.emit(MicroInst{Mem: f, Seq: SeqNext, Comment: comment})
+	return a.emit(MicroInst{Mem: f, Seq: SeqNext}, comment)
 }
 
 // LoopLoad emits a compute cycle that loads the loop counter.
 func (a *Assembler) LoopLoad(src LoopSrc, n int, comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqNext, Loop: src, N: n, Comment: comment})
+	if n != int(int32(n)) {
+		a.errf("loop count %d does not fit the 32-bit N field", n)
+	}
+	return a.emit(MicroInst{Seq: SeqNext, Loop: src, N: int32(n)}, comment)
 }
 
 // LoopBack emits the loop-closing microinstruction: decrement the counter
@@ -94,54 +105,54 @@ func (a *Assembler) LoopLoad(src LoopSrc, n int, comment string) *Assembler {
 // the loop-closing cycle" idiom).
 func (a *Assembler) LoopBack(label string, mem MemFunc, comment string) *Assembler {
 	a.fixups = append(a.fixups, fixup{addr: len(a.insts), label: label})
-	return a.emit(MicroInst{Mem: mem, Seq: SeqLoop, Comment: comment})
+	return a.emit(MicroInst{Mem: mem, Seq: SeqLoop}, comment)
 }
 
 // Jump emits an unconditional jump to label.
 func (a *Assembler) Jump(label string, comment string) *Assembler {
 	a.fixups = append(a.fixups, fixup{addr: len(a.insts), label: label})
-	return a.emit(MicroInst{Seq: SeqJump, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqJump}, comment)
 }
 
 // DecodeInstr emits the IRD microinstruction: one compute cycle that
 // consumes the opcode byte and dispatches on it.
 func (a *Assembler) DecodeInstr(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBDecodeInstr, Seq: SeqDispatch, Comment: comment})
+	return a.emit(MicroInst{IB: IBDecodeInstr, Seq: SeqDispatch}, comment)
 }
 
 // DecodeSpec emits a specifier-decode dispatch cycle.
 func (a *Assembler) DecodeSpec(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBDecodeSpec, Seq: SeqDispatch, Comment: comment})
+	return a.emit(MicroInst{IB: IBDecodeSpec, Seq: SeqDispatch}, comment)
 }
 
 // DecodeBranch emits a branch-displacement decode dispatch cycle.
 func (a *Assembler) DecodeBranch(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBDecodeBranch, Seq: SeqDispatch, Comment: comment})
+	return a.emit(MicroInst{IB: IBDecodeBranch, Seq: SeqDispatch}, comment)
 }
 
 // Redirect emits the cycle that commands I-Fetch to refill from the branch
 // target (paper §5: "an additional cycle is consumed in the execute phase
 // of the instruction to redirect the IB").
 func (a *Assembler) Redirect(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBRedirect, Seq: SeqNext, Comment: comment})
+	return a.emit(MicroInst{IB: IBRedirect, Seq: SeqNext}, comment)
 }
 
 // IBStallLoc emits an IB-stall wait location: executed once per cycle in
 // which a decode found insufficient bytes in the IB. Sequencing re-issues
 // the same decode each cycle, so Seq is SeqDispatch with the stall flag.
 func (a *Assembler) IBStallLoc(f IBFunc, comment string) *Assembler {
-	return a.emit(MicroInst{IB: f, Seq: SeqDispatch, IBStall: true, Comment: comment})
+	return a.emit(MicroInst{IB: f, Seq: SeqDispatch, IBStall: true}, comment)
 }
 
 // End emits the end-of-instruction microinstruction (back to IRD).
 func (a *Assembler) End(comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqEndInstr, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqEndInstr}, comment)
 }
 
 // EndMem emits an end-of-instruction cycle that also performs a memory
 // function (common: the final result write ends the instruction).
 func (a *Assembler) EndMem(f MemFunc, comment string) *Assembler {
-	return a.emit(MicroInst{Mem: f, Seq: SeqEndInstr, Comment: comment})
+	return a.emit(MicroInst{Mem: f, Seq: SeqEndInstr}, comment)
 }
 
 // EndStore emits the final execute compute cycle of a flow whose result
@@ -150,14 +161,14 @@ func (a *Assembler) EndMem(f MemFunc, comment string) *Assembler {
 // otherwise (the register store shares this cycle — the 11/780's
 // literal/register optimization).
 func (a *Assembler) EndStore(comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqStore, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqStore}, comment)
 }
 
 // CondTaken emits a compute cycle that jumps to label when the current
 // instruction's branch is taken and falls through otherwise.
 func (a *Assembler) CondTaken(label string, comment string) *Assembler {
 	a.fixups = append(a.fixups, fixup{addr: len(a.insts), label: label})
-	return a.emit(MicroInst{Seq: SeqCondTaken, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqCondTaken}, comment)
 }
 
 // SkipBranch emits an end-of-instruction cycle that consumes the untaken
@@ -165,31 +176,31 @@ func (a *Assembler) CondTaken(label string, comment string) *Assembler {
 // (paper §5: B-DISP has fewer compute cycles than there are branch
 // displacements because untaken branches skip the computation).
 func (a *Assembler) SkipBranch(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBSkipBranch, Seq: SeqEndInstr, Comment: comment})
+	return a.emit(MicroInst{IB: IBSkipBranch, Seq: SeqEndInstr}, comment)
 }
 
 // DispatchBase emits a cycle that dispatches to the base-mode flow of an
 // indexed specifier (the EBOX holds the pending base entry computed at
 // decode time).
 func (a *Assembler) DispatchBase(comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqDispatch, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqDispatch}, comment)
 }
 
 // TrapRet emits the microtrap return cycle (retry the trapped reference).
 func (a *Assembler) TrapRet(comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqTrapRet, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqTrapRet}, comment)
 }
 
 // URet emits a micro-subroutine return cycle (used by the shared B-DISP
 // flow to return to its caller's redirect cycle).
 func (a *Assembler) URet(comment string) *Assembler {
-	return a.emit(MicroInst{Seq: SeqURet, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqURet}, comment)
 }
 
 // EndRedirect emits a cycle that redirects I-Fetch to the branch target and
 // ends the instruction.
 func (a *Assembler) EndRedirect(comment string) *Assembler {
-	return a.emit(MicroInst{IB: IBRedirect, Seq: SeqEndInstr, Comment: comment})
+	return a.emit(MicroInst{IB: IBRedirect, Seq: SeqEndInstr}, comment)
 }
 
 // CondBranchDisp emits the fused conditional-branch cycle of a
@@ -199,17 +210,23 @@ func (a *Assembler) EndRedirect(comment string) *Assembler {
 // the instruction in this same cycle.
 func (a *Assembler) CondBranchDisp(takenLabel string, comment string) *Assembler {
 	a.fixups = append(a.fixups, fixup{addr: len(a.insts), label: takenLabel})
-	return a.emit(MicroInst{Seq: SeqCondTaken, IB: IBDecodeBranch, Comment: comment})
+	return a.emit(MicroInst{Seq: SeqCondTaken, IB: IBDecodeBranch}, comment)
 }
 
 func (a *Assembler) errf(format string, args ...interface{}) {
 	a.errlist = append(a.errlist, fmt.Sprintf(format, args...))
 }
 
-// Image is an assembled control store.
+// Image is an assembled control store: the microwords the EBOX executes
+// and, beside them, the listing text of each location.
 type Image struct {
 	Insts  []MicroInst
 	Labels map[string]uint16
+
+	// Label[a] and Comment[a] are location a's listing label ("" if
+	// none) and comment.
+	Label   []string
+	Comment []string
 }
 
 // Assemble resolves all fixups and returns the finished image.
@@ -230,8 +247,8 @@ func (a *Assembler) Assemble() (*Image, error) {
 			a.errf("label %q bound past the end of the program", name)
 			continue
 		}
-		if a.insts[addr].Label == "" {
-			a.insts[addr].Label = name
+		if a.names[addr] == "" {
+			a.names[addr] = name
 		}
 	}
 	if len(a.insts) > ControlStoreSize {
@@ -241,8 +258,10 @@ func (a *Assembler) Assemble() (*Image, error) {
 		return nil, fmt.Errorf("ucode: assembly errors:\n  %s", strings.Join(a.errlist, "\n  "))
 	}
 	return &Image{
-		Insts:  append([]MicroInst(nil), a.insts...),
-		Labels: copyLabels(a.labels),
+		Insts:   append([]MicroInst(nil), a.insts...),
+		Labels:  copyLabels(a.labels),
+		Label:   append([]string(nil), a.names...),
+		Comment: append([]string(nil), a.comments...),
 	}, nil
 }
 
@@ -283,11 +302,20 @@ func (img *Image) At(addr uint16) *MicroInst {
 func (img *Image) Size() int { return len(img.Insts) }
 
 // Listing renders a human-readable control-store listing, one line per
-// location, grouped by region.
+// location, grouped by region: address, region, label, memory, I-stream
+// and sequencer functions, jump target and comment.
 func (img *Image) Listing() string {
 	var b strings.Builder
 	for addr, mi := range img.Insts {
-		fmt.Fprintf(&b, "%05o  %-10s %s\n", addr, mi.Region, mi.String())
+		fmt.Fprintf(&b, "%05o  %-10s %-22s %-7s %-6s %-5s", addr, mi.Region,
+			img.Label[addr], mi.Mem, mi.IB, mi.Seq)
+		if mi.Seq == SeqJump || mi.Seq == SeqLoop {
+			fmt.Fprintf(&b, " ->%04o", mi.Target)
+		}
+		if c := img.Comment[addr]; c != "" {
+			b.WriteString("  ; " + c)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -80,7 +80,7 @@ func FuzzAssemble(f *testing.F) {
 			byAddr[addr] = true
 		}
 		for addr := range byAddr {
-			if img.At(addr).Label == "" {
+			if img.Label[addr] == "" {
 				t.Fatalf("labelled address %05o has no label attached", addr)
 			}
 		}

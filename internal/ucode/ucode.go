@@ -169,18 +169,18 @@ func (r Region) String() string {
 	return fmt.Sprintf("Region(%d)", r)
 }
 
-// MicroInst is one control-store location.
+// MicroInst is one control-store location: the fields the EBOX executes,
+// 12 bytes a word. The listing text (label and comment) lives beside the
+// words, in Image.Label and Image.Comment.
 type MicroInst struct {
 	Mem     MemFunc
 	IB      IBFunc
 	Seq     SeqFunc
-	Target  uint16  // resolved jump/loop target
 	Loop    LoopSrc // loop counter load performed by this microinstruction
-	N       int     // immediate count for LoopImm
+	Target  uint16  // resolved jump/loop target
 	Region  Region
-	IBStall bool   // this is an IB-stall wait location (paper §4.3)
-	Label   string // symbolic label if this location is a flow entry/target
-	Comment string
+	IBStall bool  // this is an IB-stall wait location (paper §4.3)
+	N       int32 // immediate count for LoopImm
 }
 
 // ClassString renders the cycle class the analysis will assign to
@@ -195,15 +195,4 @@ func (mi *MicroInst) ClassString() string {
 		return "write"
 	}
 	return "compute"
-}
-
-func (mi *MicroInst) String() string {
-	s := fmt.Sprintf("%-22s %-7s %-6s %-5s", mi.Label, mi.Mem, mi.IB, mi.Seq)
-	if mi.Seq == SeqJump || mi.Seq == SeqLoop {
-		s += fmt.Sprintf(" ->%04o", mi.Target)
-	}
-	if mi.Comment != "" {
-		s += "  ; " + mi.Comment
-	}
-	return s
 }

@@ -3,6 +3,7 @@ package ucode
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestMemFuncClasses(t *testing.T) {
@@ -155,5 +156,24 @@ func TestCondBranchDispEncoding(t *testing.T) {
 	take := img.At(img.Addr("take"))
 	if take.IB != IBRedirect || take.Seq != SeqEndInstr {
 		t.Errorf("EndRedirect encoded wrong: %+v", take)
+	}
+}
+
+// TestMicroInstIs12Bytes guards the size of the control-store word the
+// EBOX reads every cycle: listing text lives on Image, not in the word.
+func TestMicroInstIs12Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(MicroInst{}); n != 12 {
+		t.Errorf("MicroInst is %d bytes, want 12", n)
+	}
+}
+
+// TestLoopCountMustFitN: an immediate loop count the 32-bit N field
+// cannot hold is an assembly error, not a silently wrapped count.
+func TestLoopCountMustFitN(t *testing.T) {
+	a := NewAssembler()
+	a.Region(RegExecSimple)
+	a.Label("x").LoopLoad(LoopImm, 1<<40, "too many").End("done")
+	if _, err := a.Assemble(); err == nil || !strings.Contains(err.Error(), "32-bit N field") {
+		t.Errorf("Assemble = %v, want a loop-count error", err)
 	}
 }

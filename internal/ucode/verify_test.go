@@ -84,7 +84,7 @@ func TestVerifyCatchesUnreachable(t *testing.T) {
 func TestVerifyCatchesStallWithMemory(t *testing.T) {
 	a := NewAssembler()
 	a.Region(RegDecode)
-	a.Label("s").emit(MicroInst{IB: IBDecodeInstr, Seq: SeqDispatch, IBStall: true, Mem: MemReadOperand})
+	a.Label("s").emit(MicroInst{IB: IBDecodeInstr, Seq: SeqDispatch, IBStall: true, Mem: MemReadOperand}, "")
 	img := a.MustAssemble()
 	if kinds(Verify(img))[IssueStallMem] != 1 {
 		t.Errorf("stall-with-memory not reported: %v", Verify(img))

@@ -166,7 +166,7 @@ func (a *analyzer) loopSrcFor(closer uint16, inFlow map[uint16]bool) ucode.LoopS
 		if !a.reachesForward(w, a.img.At(closer).Target, inFlow) {
 			continue
 		}
-		if c := loopCap(mi.Loop, mi.N); c > bestCap {
+		if c := loopCap(mi.Loop, int(mi.N)); c > bestCap {
 			bestCap = c
 			src = mi.Loop
 		}
@@ -186,9 +186,7 @@ func (a *analyzer) loopImmFor(closer uint16, inFlow map[uint16]bool) int {
 		if !a.reachesForward(w, a.img.At(closer).Target, inFlow) {
 			continue
 		}
-		if mi.N > best {
-			best = mi.N
-		}
+		best = max(best, int(mi.N))
 	}
 	return best
 }

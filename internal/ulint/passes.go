@@ -21,10 +21,9 @@ func (a *analyzer) passDeadWords(r *Report) {
 			r.Reachable++
 			continue
 		}
-		mi := a.img.At(uint16(addr))
 		what := "word"
-		if mi.Label != "" {
-			what = fmt.Sprintf("flow %q", mi.Label)
+		if l := a.img.Label[addr]; l != "" {
+			what = fmt.Sprintf("flow %q", l)
 		}
 		a.add(Finding{
 			Kind:     KindDeadWord,
@@ -232,7 +231,7 @@ func (a *analyzer) flowWords(entry uint16) []uint16 {
 
 // flowName renders the flow entry's label for findings and bounds.
 func (a *analyzer) flowName(entry uint16) string {
-	if l := a.img.At(entry).Label; l != "" {
+	if l := a.img.Label[entry]; l != "" {
 		return l
 	}
 	return fmt.Sprintf("%05o", entry)

@@ -1,6 +1,7 @@
 package urom
 
 import (
+	"os"
 	"testing"
 
 	"vax780/internal/ucode"
@@ -229,5 +230,19 @@ func TestMicroprogramPassesVerifier(t *testing.T) {
 	issues := ucode.Verify(r.Image)
 	for _, i := range issues {
 		t.Errorf("verifier: %s", i)
+	}
+}
+
+// TestListingMatchesGolden pins the control-store listing byte for byte:
+// labels and comments live beside the microwords, and the listing must
+// render them exactly as when they were fields of each word. Regenerate
+// testdata/listing.golden only for a deliberate microcode change.
+func TestListingMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/listing.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Build().Image.Listing(); got != string(want) {
+		t.Fatalf("control-store listing drifted from testdata/listing.golden:\n%s", got)
 	}
 }

@@ -15,6 +15,10 @@ var ErrBadOpcode = errors.New("vax: unknown opcode")
 // immediate bases cannot be indexed).
 var errIllegalIndexBase = errors.New("vax: illegal indexed base mode")
 
+// errDoubleIndex marks an index prefix whose base is another index
+// prefix.
+var errDoubleIndex = errors.New("vax: double index prefix")
+
 // errWideImmediate marks an immediate operand wider than a longword,
 // which is outside the modelled subset (it would not fit the IB).
 var errWideImmediate = errors.New("vax: immediate wider than a longword unsupported")
@@ -42,121 +46,149 @@ func DecodeOpcode(buf []byte) (Opcode, error) {
 	return op, nil
 }
 
-// DecodeSpec decodes one operand specifier of data type t from the front
-// of buf. It returns ErrShort when buf is too short — the caller (the
-// I-Decode stage) treats that as insufficient bytes in the IB.
-func DecodeSpec(buf []byte, t DataType) (DecodedSpec, error) {
-	ds := DecodedSpec{Index: -1}
-	if len(buf) < 1 {
-		return ds, ErrShort
-	}
-	b := buf[0]
-	n := 1
-	if b>>4 == 0x4 { // index prefix
-		ds.Index = int(b & 0xF)
-		if len(buf) < 2 {
-			return ds, ErrShort
+// shapeKind says how a specifier byte's entry in shapes is completed.
+type shapeKind uint8
+
+const (
+	shapeFixed     shapeKind = iota // mode and extension length are the byte's
+	shapeIndex                      // 0x4X: index prefix; the next byte is the base
+	shapeImmediate                  // 0x8F: (PC)+, extension sized by the data type
+)
+
+// specShape is what one specifier byte fixes about its specifier: the
+// addressing mode, the I-stream bytes that follow it, and whether it may
+// be the base of an indexed specifier.
+type specShape struct {
+	mode      AddrMode
+	ext       uint8
+	kind      shapeKind
+	indexable bool
+}
+
+// shapes is the I-Decode table: one entry per specifier byte.
+var shapes = func() (t [256]specShape) {
+	for i := range t {
+		b := byte(i)
+		sh := specShape{indexable: true}
+		switch reg := b & 0xF; b >> 4 {
+		case 0x0, 0x1, 0x2, 0x3:
+			sh.mode, sh.indexable = ModeLiteral, false
+		case 0x4:
+			sh.kind, sh.indexable = shapeIndex, false
+		case 0x5:
+			sh.mode, sh.indexable = ModeRegister, false
+		case 0x6:
+			sh.mode = ModeRegDeferred
+		case 0x7:
+			sh.mode = ModeAutoDecrement
+		case 0x8:
+			sh.mode = ModeAutoIncrement
+			if reg == pcReg {
+				sh.mode, sh.kind, sh.indexable = ModeImmediate, shapeImmediate, false
+			}
+		case 0x9:
+			sh.mode = ModeAutoIncDeferred
+			if reg == pcReg {
+				sh.mode, sh.ext = ModeAbsolute, 4
+			}
+		case 0xA:
+			sh.mode, sh.ext = ModeByteDisp, 1
+		case 0xB:
+			sh.mode, sh.ext = ModeByteDispDeferred, 1
+		case 0xC:
+			sh.mode, sh.ext = ModeWordDisp, 2
+		case 0xD:
+			sh.mode, sh.ext = ModeWordDispDeferred, 2
+		case 0xE:
+			sh.mode, sh.ext = ModeLongDisp, 4
+		case 0xF:
+			sh.mode, sh.ext = ModeLongDispDeferred, 4
 		}
-		b = buf[1]
-		n = 2
+		t[i] = sh
+	}
+	return t
+}()
+
+// DecodeShape decodes the shape of one operand specifier of data type t
+// at the front of buf: its addressing mode, whether it carries an index
+// prefix, and its total I-stream length n, index prefix included. It is
+// all the I-Decode dispatch needs, and the front half of DecodeSpec: it
+// fails exactly where DecodeSpec fails, with ErrShort when buf is too
+// short (the I-Decode stage treats that as insufficient bytes in the IB).
+func DecodeShape(buf []byte, t DataType) (mode AddrMode, indexed bool, n int, err error) {
+	if len(buf) < 1 {
+		return 0, false, 0, ErrShort
+	}
+	sh := shapes[buf[0]]
+	n = 1
+	if sh.kind == shapeIndex {
+		if len(buf) < 2 {
+			return 0, true, 0, ErrShort
+		}
+		indexed, n = true, 2
+		sh = shapes[buf[1]]
 		// The base of an indexed specifier must itself reference memory:
 		// literal (0x0-0x3), register (0x5), immediate (0x8F) and a
 		// second index prefix (0x4) are reserved addressing mode faults.
-		switch {
-		case b>>4 <= 0x3:
-			return ds, errIllegalIndexBase
-		case b>>4 == 0x5:
-			return ds, errIllegalIndexBase
-		case b == 0x8F:
-			return ds, errIllegalIndexBase
+		if !sh.indexable {
+			if sh.kind == shapeIndex {
+				return 0, true, 0, errDoubleIndex
+			}
+			return 0, true, 0, errIllegalIndexBase
 		}
 	}
-	reg := int(b & 0xF)
-	switch b >> 4 {
-	case 0x0, 0x1, 0x2, 0x3: // short literal
-		ds.Mode = ModeLiteral
+	ext := int(sh.ext)
+	if sh.kind == shapeImmediate {
+		// A quad/double immediate is a 9-byte specifier — wider than the
+		// 8-byte IB, so the 11/780 model cannot decode it in one request;
+		// the subset excludes it.
+		if ext = t.Size(); ext > 4 {
+			return sh.mode, indexed, 0, errWideImmediate
+		}
+	}
+	n += ext
+	if len(buf) < n {
+		return sh.mode, indexed, 0, ErrShort
+	}
+	return sh.mode, indexed, n, nil
+}
+
+// DecodeSpec decodes one operand specifier of data type t from the front
+// of buf: DecodeShape, then the register, index register and
+// displacement (or literal or immediate value) the shape locates. It
+// returns ErrShort when buf is too short.
+func DecodeSpec(buf []byte, t DataType) (DecodedSpec, error) {
+	mode, indexed, n, err := DecodeShape(buf, t)
+	if err != nil {
+		return DecodedSpec{Index: -1}, err
+	}
+	ds := DecodedSpec{Mode: mode, Index: -1, Len: n}
+	b, at := buf[0], 1
+	if indexed {
+		ds.Index = int(b & 0xF)
+		b, at = buf[1], 2
+	}
+	ext := buf[at:n]
+	switch mode {
+	case ModeLiteral:
 		ds.Disp = int32(b & 0x3F)
-	case 0x4:
-		return ds, errors.New("vax: double index prefix")
-	case 0x5:
-		ds.Mode, ds.Reg = ModeRegister, reg
-	case 0x6:
-		ds.Mode, ds.Reg = ModeRegDeferred, reg
-	case 0x7:
-		ds.Mode, ds.Reg = ModeAutoDecrement, reg
-	case 0x8:
-		if reg == pcReg {
-			ds.Mode = ModeImmediate
-			sz := t.Size()
-			if sz > 4 {
-				// A quad/double immediate is a 9-byte specifier — wider
-				// than the 8-byte IB, so the 11/780 model cannot decode
-				// it in one request; the subset excludes it.
-				return ds, errWideImmediate
-			}
-			if len(buf) < n+sz {
-				return ds, ErrShort
-			}
-			var v uint32
-			for i := 0; i < sz; i++ {
-				v |= uint32(buf[n+i]) << (8 * i)
-			}
-			ds.Disp = int32(v)
-			n += sz
-		} else {
-			ds.Mode, ds.Reg = ModeAutoIncrement, reg
+	case ModeImmediate, ModeAbsolute:
+		// The I-stream constant or address, zero-extended.
+		var v uint32
+		for i, x := range ext {
+			v |= uint32(x) << (8 * i)
 		}
-	case 0x9:
-		if reg == pcReg {
-			ds.Mode = ModeAbsolute
-			if len(buf) < n+4 {
-				return ds, ErrShort
-			}
-			ds.Disp = int32(uint32(buf[n]) | uint32(buf[n+1])<<8 |
-				uint32(buf[n+2])<<16 | uint32(buf[n+3])<<24)
-			n += 4
-		} else {
-			ds.Mode, ds.Reg = ModeAutoIncDeferred, reg
-		}
-	case 0xA, 0xB:
-		if b>>4 == 0xA {
-			ds.Mode = ModeByteDisp
-		} else {
-			ds.Mode = ModeByteDispDeferred
-		}
-		ds.Reg = reg
-		if len(buf) < n+1 {
-			return ds, ErrShort
-		}
-		ds.Disp = int32(int8(buf[n]))
-		n++
-	case 0xC, 0xD:
-		if b>>4 == 0xC {
-			ds.Mode = ModeWordDisp
-		} else {
-			ds.Mode = ModeWordDispDeferred
-		}
-		ds.Reg = reg
-		if len(buf) < n+2 {
-			return ds, ErrShort
-		}
-		ds.Disp = int32(int16(uint16(buf[n]) | uint16(buf[n+1])<<8))
-		n += 2
-	case 0xE, 0xF:
-		if b>>4 == 0xE {
-			ds.Mode = ModeLongDisp
-		} else {
-			ds.Mode = ModeLongDispDeferred
-		}
-		ds.Reg = reg
-		if len(buf) < n+4 {
-			return ds, ErrShort
-		}
-		ds.Disp = int32(uint32(buf[n]) | uint32(buf[n+1])<<8 |
-			uint32(buf[n+2])<<16 | uint32(buf[n+3])<<24)
-		n += 4
+		ds.Disp = int32(v)
+	case ModeByteDisp, ModeByteDispDeferred:
+		ds.Reg, ds.Disp = int(b&0xF), int32(int8(ext[0]))
+	case ModeWordDisp, ModeWordDispDeferred:
+		ds.Reg, ds.Disp = int(b&0xF), int32(int16(uint16(ext[0])|uint16(ext[1])<<8))
+	case ModeLongDisp, ModeLongDispDeferred:
+		ds.Reg = int(b & 0xF)
+		ds.Disp = int32(uint32(ext[0]) | uint32(ext[1])<<8 | uint32(ext[2])<<16 | uint32(ext[3])<<24)
+	default: // register, register deferred, autoincrement/decrement
+		ds.Reg = int(b & 0xF)
 	}
-	ds.Len = n
 	return ds, nil
 }
 

@@ -3,8 +3,9 @@ package vax
 import "testing"
 
 // FuzzDecode exercises the instruction decoder with arbitrary bytes: it
-// must never panic, and anything it accepts must re-encode to the bytes
-// it consumed.
+// must never panic, anything it accepts must re-encode to the bytes it
+// consumed, and at every data type the specifier shape (DecodeShape)
+// must agree with the full specifier decode and the reference model.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xD0, 0x51, 0x52})             // MOVL R1, R2
 	f.Add([]byte{0xC1, 0x8F, 1, 2, 3, 4, 0x53}) // ADDL3 #imm, ...
@@ -14,6 +15,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for typ := TypeByte; typ <= TypeDFloat; typ++ {
+			checkAgainstRef(t, data, typ)
+		}
 		in, n, err := Decode(data)
 		if err != nil {
 			return

@@ -55,6 +55,21 @@ func (p *Program) GobDecode(data []byte) error {
 		copy(used[:], v)
 		p.used[k] = used
 	}
+	// Page hands out whole pages, so a byte that holds no code must read
+	// as zero whatever the file carried there. A page stored without a
+	// used map holds no code.
+	for k, page := range p.pages {
+		used := p.used[k]
+		if used == nil {
+			used = new([pageSize]bool)
+			p.used[k] = used
+		}
+		for i := range page {
+			if !used[i] {
+				page[i] = 0
+			}
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -74,5 +75,43 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage trace accepted")
+	}
+}
+
+// TestDecodedPageZeroesUnusedBytes: a stored page may carry bytes where
+// its used map says no code is, or have no used map at all; Page hands
+// out whole pages to the IB, so decoding must leave those bytes zero, as
+// Put does, and Byte must report them as holding no code.
+func TestDecodedPageZeroesUnusedBytes(t *testing.T) {
+	page, used := make([]byte, pageSize), make([]bool, pageSize)
+	for i := range page {
+		page[i] = 0xAB
+	}
+	used[3] = true
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(programGob{
+		Pages: map[uint32][]byte{2: page, 5: page},
+		Used:  map[uint32][]bool{2: used},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var p Program
+	if err := p.GobDecode(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for pg, wantUsed := range map[uint32]int{2: 3, 5: -1} {
+		data := p.Page(pg * pageSize)
+		for i, b := range data {
+			want := byte(0)
+			if i == wantUsed {
+				want = 0xAB
+			}
+			if b != want {
+				t.Fatalf("page %d byte %d = %#x, want %#x", pg, i, b, want)
+			}
+			if b, ok := p.Byte(pg*pageSize + uint32(i)); ok != (i == wantUsed) || b != want {
+				t.Fatalf("page %d: Byte(%d) = %#x, %t", pg, i, b, ok)
+			}
+		}
 	}
 }

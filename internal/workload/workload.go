@@ -134,12 +134,12 @@ func (p *Program) Byte(va uint32) (byte, bool) {
 	return page[off], p.used[pg][off]
 }
 
-// Page returns the backing arrays for the page containing va, or nil if
-// nothing is materialized there. Callers (one machine each) use it to
-// cache the hot code page instead of re-hashing per byte.
-func (p *Program) Page(va uint32) (data *[512]byte, used *[512]bool) {
-	pg := va / pageSize
-	return p.pages[pg], p.used[pg]
+// Page returns the code bytes of the page containing va, or nil if
+// nothing is materialized there; bytes that hold no code are zero. The
+// machine's IB caches the page it refills from instead of re-hashing per
+// byte.
+func (p *Program) Page(va uint32) *[512]byte {
+	return p.pages[va/pageSize]
 }
 
 // Bytes returns the number of materialized code bytes.

@@ -268,10 +268,19 @@ func (c *RunConfig) fill() {
 
 // ErrBadConfig reports a RunConfig that describes a machine Run cannot
 // build: a negative hardware parameter or context-switch headway, a
-// cache or translation buffer whose size does not divide into whole
-// sets, or a flight-recorder depth the mask-indexed ring cannot hold.
+// cache larger than main memory, more TB entries than page frames, a
+// latency above 1000 cycles, a cache or translation buffer whose
+// size does not divide into whole sets, or a flight-recorder depth the
+// mask-indexed ring cannot hold.
 // Test with errors.Is.
 var ErrBadConfig = errors.New("vax780: bad run configuration")
+
+// maxLatencyCycles caps MissLatency and WriteBusy: 1000 EBOX cycles is
+// 200 µs, over 160 times the 11/780's 6-cycle SBI read. A stalled
+// reference costs one turn of the simulator's cycle loop per cycle, and
+// a deadline is only checked between workloads, so the cap bounds the
+// host time one reference can take.
+const maxLatencyCycles = 1000
 
 // Validate rejects configurations Run cannot honor; Run calls it before
 // any work starts, so a bad configuration fails fast with an error
@@ -298,6 +307,22 @@ func (c *RunConfig) Validate() error {
 	d := mem.Default()
 	bytes, ways := cmp.Or(c.CacheBytes, d.CacheBytes), cmp.Or(c.CacheWays, d.CacheWays)
 	entries := cmp.Or(c.TBEntries, d.TBEntries)
+	// Upper bounds. The cache and TB are allocated from these sizes and
+	// each stall cycle is one turn of the EBOX loop, so an unbounded
+	// field lets one small request claim any amount of memory or time.
+	for _, f := range []struct {
+		name, why string
+		v, max    int
+	}{
+		{"CacheBytes", "the 8 MB main memory", c.CacheBytes, d.MemoryBytes},
+		{"TBEntries", "the main memory's page frames", c.TBEntries, d.MemoryBytes / d.PageBytes},
+		{"MissLatency", "the latency cap", c.MissLatency, maxLatencyCycles},
+		{"WriteBusy", "the latency cap", c.WriteBusy, maxLatencyCycles},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("%w: %s %d exceeds %s (max %d)", ErrBadConfig, f.name, f.v, f.why, f.max)
+		}
+	}
 	// More ways than blocks can never divide evenly; checking that first
 	// also keeps ways × block from overflowing (to zero, say).
 	if ways > bytes/d.CacheBlock || bytes%(ways*d.CacheBlock) != 0 {

@@ -236,6 +236,15 @@ func TestValidateHardware(t *testing.T) {
 		{"negative write busy", RunConfig{WriteBusy: -1}},
 		{"negative headway", RunConfig{CtxSwitchHeadway: -1}},
 		{"flight depth 100", RunConfig{FlightDepth: 100}},
+		// One past each upper bound, and the sizes that once validated.
+		{"cache past main memory", RunConfig{CacheBytes: 8<<20 + 16}},
+		{"TB past page frames", RunConfig{TBEntries: 16384 + 4}},
+		{"miss latency past cap", RunConfig{MissLatency: maxLatencyCycles + 1}},
+		{"write busy past cap", RunConfig{WriteBusy: maxLatencyCycles + 1}},
+		{"terabyte cache", RunConfig{CacheBytes: 1 << 40}},
+		{"terabyte TB", RunConfig{TBEntries: 1 << 40}},
+		{"huge miss latency", RunConfig{MissLatency: 1 << 40}},
+		{"huge write busy", RunConfig{WriteBusy: 1 << 40}},
 	}
 	for _, tc := range bad {
 		cfg := tc.cfg
@@ -255,6 +264,9 @@ func TestValidateHardware(t *testing.T) {
 		{TBEntries: 64}, {TBEntries: 256},
 		{MissLatency: 4, WriteBusy: 8},
 		{FlightDepth: 256}, {FlightDepth: -1},
+		// Each upper bound itself.
+		{CacheBytes: 8 << 20}, {TBEntries: 16384},
+		{MissLatency: maxLatencyCycles, WriteBusy: maxLatencyCycles},
 	}
 	for _, cb := range []int{8 << 10, 16 << 10} {
 		for _, cw := range []int{2, 4} {
