@@ -5,7 +5,7 @@
 //
 //	hotpath      no allocations, defers, goroutines, or unguarded
 //	             interface calls in the per-cycle tick functions
-//	probeguard   telemetry hook calls (Probe/probe/tel fields) must be
+//	probeguard   telemetry hook calls (Probe/tel fields) must be
 //	             dominated by a nil check
 //	determinism  no wall-clock reads or global rand draws; runs are
 //	             pure functions of seed and config

@@ -9,21 +9,11 @@ import (
 	"vax780/internal/vax"
 )
 
-// IntervalPoint is one measurement interval's summary.
-type IntervalPoint struct {
-	Instructions uint64
-	Cycles       uint64
-	CPI          float64
-	// SimplePct is the SIMPLE-group share in this interval, a cheap
-	// indicator of workload phase changes.
-	SimplePct float64
-}
-
 // IntervalSeries summarizes the variation of the statistics during the
 // measurement — the data the paper's §2.2 notes its averages-only
 // reduction cannot provide.
 type IntervalSeries struct {
-	Points []IntervalPoint
+	Points []IntervalCPI
 
 	MeanCPI   float64
 	StdDevCPI float64
@@ -32,25 +22,12 @@ type IntervalSeries struct {
 }
 
 // Intervals reduces a sequence of per-interval histogram deltas (from
-// machine.RunIntervals) into the variation series.
+// machine.RunIntervals) into the variation series: the per-interval
+// decompositions of DecomposeIntervals and their CPI spread.
 func Intervals(rom *urom.ROM, hists []*upc.Histogram) IntervalSeries {
-	var s IntervalSeries
+	s := IntervalSeries{Points: DecomposeIntervals(rom, hists)}
 	var sum, sumSq float64
-	for _, h := range hists {
-		a := New(rom, h)
-		p := IntervalPoint{
-			Instructions: a.Instructions(),
-			Cycles:       h.TotalCycles(),
-		}
-		if p.Instructions > 0 {
-			p.CPI = float64(p.Cycles) / float64(p.Instructions)
-		}
-		for _, g := range a.OpcodeGroups() {
-			if g.Group == vax.GroupSimple {
-				p.SimplePct = g.Percent
-			}
-		}
-		s.Points = append(s.Points, p)
+	for _, p := range s.Points {
 		sum += p.CPI
 		sumSq += p.CPI * p.CPI
 		if s.MinCPI == 0 || p.CPI < s.MinCPI {

@@ -172,12 +172,11 @@ func isStringType(pkg *Package, e ast.Expr) bool {
 // hook is guarded one frame up by construction and is not in this set.)
 var probeFieldNames = map[string]bool{
 	"Probe": true,
-	"probe": true,
 	"tel":   true,
 }
 
 // ProbeGuardAnalyzer enforces the nil-check-before-probe pattern
-// everywhere: a method call through a Probe/probe/tel interface field
+// everywhere: a method call through a Probe/tel interface field
 // must sit inside `if <field> != nil { ... }`. The hooks are nil unless
 // telemetry is attached, so an unguarded call is a latent panic on
 // every uninstrumented run.

@@ -315,6 +315,29 @@ func TestRepoInvariants(t *testing.T) {
 			t.Errorf("hot target %+v matches no function declaration", tg)
 		}
 	}
+
+	// Likewise a probe field name that no struct declares guards
+	// nothing.
+	fields := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							fields[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range probeFieldNames {
+		if !fields[name] {
+			t.Errorf("probe field name %q matches no struct field", name)
+		}
+	}
 }
 
 func TestListPackagesFindsKnown(t *testing.T) {

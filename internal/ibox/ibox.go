@@ -38,8 +38,6 @@ type PageSource func(va uint32) *[CodePageBytes]byte
 // Probe is the passive telemetry hook of the I-Fetch stage; nil on an
 // uninstrumented machine (the fast path).
 type Probe interface {
-	// Refill observes an IB refill reference and its arrival latency.
-	Refill(now uint64, va uint32, latency int, miss bool)
 	// TBMiss observes the I-stream miss flag being raised.
 	TBMiss(now uint64, istream bool, va uint32)
 }
@@ -62,7 +60,7 @@ type IBox struct {
 	code     *[CodePageBytes]byte
 	codePage uint32
 
-	// Probe, when non-nil, observes refills and I-stream TB misses.
+	// Probe, when non-nil, observes I-stream TB misses.
 	Probe Probe
 
 	// Fault, when non-nil, injects refill drops.
@@ -175,11 +173,8 @@ func (ib *IBox) tickSlow(now uint64) {
 		}
 		return
 	}
-	latency, miss := ib.mem.IRead(pa&^3, now)
+	latency, _ := ib.mem.IRead(pa&^3, now)
 	ib.Refs++
-	if ib.Probe != nil {
-		ib.Probe.Refill(now, va, latency, miss)
-	}
 	ib.pending = true
 	// Data is usable the cycle after a hit, later on a miss.
 	ib.pendingArrive = now + 1 + uint64(latency)

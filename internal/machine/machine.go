@@ -23,15 +23,16 @@ import (
 // Telemetry is the machine's view of the live telemetry layer (the
 // concrete implementation lives in internal/telemetry; the machine, like
 // the ebox with its Monitor, only knows the observation points). It
-// combines the per-layer probes with the machine-level events.
+// combines the per-layer probes with the machine-level events. The
+// layer's live counters are the machine's own (RunStats, mem.Stats,
+// IBox.Refs), read through Bind; the event hooks feed its timeline.
 type Telemetry interface {
 	ebox.Probe
 	ibox.Probe
-	mem.Probe
 
-	// Bind attaches this machine's monitor and hardware counters; the
+	// Bind attaches this machine: its monitor and its own counters. The
 	// telemetry timeline continues across machines of a composite run.
-	Bind(mon *upc.Monitor, stats *mem.Stats)
+	Bind(m *Machine)
 	// Instr observes an instruction decode.
 	Instr(now uint64, pc uint32, op vax.Opcode)
 	// Interrupt observes an interrupt delivery.
@@ -76,8 +77,8 @@ type Config struct {
 	Strict  bool         // verify IB decode against the trace
 
 	// Telemetry, when non-nil, attaches the live telemetry layer: its
-	// probes are threaded through the EBOX, IB, and memory subsystem,
-	// and it is bound to this machine's monitor and hardware counters.
+	// probes are threaded through the EBOX and IB, and it is bound to
+	// this machine's monitor and counters.
 	Telemetry Telemetry
 
 	// OverlapDecode enables the 11/750-style overlapped I-Decode (§5 of
@@ -130,9 +131,10 @@ func (p *ProgressCell) Load() (instrs, cycles uint64) {
 
 // RunStats are execution-level counters kept by the machine itself.
 type RunStats struct {
-	Instrs     uint64
-	Interrupts uint64
-	Resyncs    uint64
+	Instrs      uint64 // instructions retired
+	Interrupts  uint64 // interrupt deliveries
+	CtxSwitches uint64 // context switches (LDPCTX)
+	Resyncs     uint64
 }
 
 // Machine is the simulated system.
@@ -194,10 +196,8 @@ func New(cfg Config, prog *workload.Program) *Machine {
 	m.E.OverlapDecode = cfg.OverlapDecode
 	if cfg.Telemetry != nil {
 		m.tel = cfg.Telemetry
-		cfg.Telemetry.Bind(cfg.Monitor, &m.Mem.Stats)
 		m.E.Probe = m.tel
 		m.IB.Probe = m.tel
-		m.Mem.SetProbe(m.tel)
 	}
 	if cfg.Faults != nil {
 		m.faults = cfg.Faults
@@ -211,6 +211,9 @@ func New(cfg Config, prog *workload.Program) *Machine {
 	m.E.FR = cfg.Flight
 	m.progress = cfg.Progress
 	m.setProcess(1)
+	if m.tel != nil {
+		m.tel.Bind(m)
+	}
 	return m
 }
 
@@ -355,6 +358,7 @@ func (m *Machine) runInstr(it *workload.Item) error {
 		// LDPCTX's microcode flushed the process half of the TB; the
 		// machine-level effect is the context change itself.
 		m.Mem.FlushProcessTB()
+		m.Stats.CtxSwitches++
 		if m.tel != nil {
 			m.tel.CtxSwitch(m.E.Now, m.curASID, it.SwitchTo)
 		}

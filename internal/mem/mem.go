@@ -78,15 +78,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Probe is the passive telemetry hook of the memory subsystem: like the
-// UPC board, attaching one changes nothing about the measured system.
-// It is nil on an uninstrumented machine (the fast path).
-type Probe interface {
-	// CacheMiss observes a cache read miss (D-stream, PTE, or I-stream)
-	// and the stall/latency cycles it cost.
-	CacheMiss(now uint64, istream bool, pa uint32, stall int)
-}
-
 // FaultInjector is the memory subsystem's fault hook (see
 // internal/faults): a deterministic plan deciding, per D-stream read,
 // whether the reference takes a memory parity error. nil on a healthy
@@ -168,9 +159,6 @@ type System struct {
 	// companion TB-study workflow (see VATrace).
 	VTrace *VATrace
 
-	// probe, when non-nil, observes cache misses for the telemetry layer.
-	probe Probe
-
 	// fault, when non-nil, injects memory parity errors on reads. A
 	// fired parity error is latched in parityPA/parityHit until the
 	// EBOX collects it and runs the machine-check abort.
@@ -220,9 +208,6 @@ func New(cfg Config) *System {
 
 // Config returns the active configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// SetProbe attaches a telemetry probe (nil detaches it).
-func (s *System) SetProbe(p Probe) { s.probe = p }
 
 // SetFault attaches a fault injector (nil detaches it).
 func (s *System) SetFault(f FaultInjector) { s.fault = f }
@@ -333,9 +318,6 @@ func (s *System) DRead(pa uint32, now uint64) (stall int) {
 	dataAt := s.sbiAcquire(now, s.cfg.MissLatency)
 	stall = int(dataAt - now)
 	s.Stats.ReadStall += uint64(stall)
-	if s.probe != nil {
-		s.probe.CacheMiss(now, false, pa, stall)
-	}
 	return stall
 }
 
@@ -355,9 +337,6 @@ func (s *System) PTERead(pa uint32, now uint64) (stall int) {
 	dataAt := s.sbiAcquire(now, s.cfg.MissLatency)
 	stall = int(dataAt - now)
 	s.Stats.ReadStall += uint64(stall)
-	if s.probe != nil {
-		s.probe.CacheMiss(now, false, pa, stall)
-	}
 	return stall
 }
 
@@ -391,9 +370,6 @@ func (s *System) IRead(pa uint32, now uint64) (latency int, miss bool) {
 	}
 	s.Stats.IReadMisses++
 	dataAt := s.sbiAcquire(now, s.cfg.MissLatency)
-	if s.probe != nil {
-		s.probe.CacheMiss(now, true, pa, int(dataAt-now))
-	}
 	return int(dataAt - now), true
 }
 

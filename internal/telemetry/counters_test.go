@@ -4,32 +4,33 @@ import (
 	"testing"
 
 	"vax780/internal/machine"
-	"vax780/internal/mem"
 	"vax780/internal/telemetry"
 	"vax780/internal/upc"
-	"vax780/internal/vax"
+	"vax780/internal/workload"
 )
 
 // publishPeriod mirrors the telemetry layer's publish period: live
 // readers may lag the hooks by fewer than this many cycles.
 const publishPeriod = 4096
 
-// tally is one reading of the per-event counters, in Counters order.
-type tally [8]uint64
+// tally is one reading of the live counters, in Counters order.
+type tally [10]uint64
 
 func published(c *telemetry.Counters) tally {
 	return tally{
 		c.Cycles.Load(), c.StallCycles.Load(), c.Instrs.Load(),
 		c.CacheMissD.Load(), c.CacheMissI.Load(),
 		c.TBMissD.Load(), c.TBMissI.Load(), c.IBRefills.Load(),
+		c.Interrupts.Load(), c.CtxSwitches.Load(),
 	}
 }
 
-// driver feeds a telemetry layer a deterministic event mix through its
-// probe methods and keeps the true counts alongside.
+// driver steps a bound machine's own counters through a deterministic
+// event mix, calls the Cycle hook the way the EBOX does, and keeps the
+// true counts alongside.
 type driver struct {
 	tel  *telemetry.Telemetry
-	now  uint64  // machine-local cycle
+	m    *machine.Machine
 	want tally   // true counts so far
 	hist []tally // true counts after each observed cycle
 }
@@ -38,34 +39,48 @@ func (d *driver) cycles(n int) {
 	for i := 0; i < n; i++ {
 		// Events at machine time c precede cycle c, as a decode
 		// precedes the cycles that execute it.
-		c := d.now
+		m, c := d.m, d.m.E.Now
+		st := &m.Mem.Stats
 		if c%5 == 0 {
-			d.tel.Instr(c, 0x200, vax.MOVL)
+			m.Stats.Instrs++
 			d.want[2]++
 		}
 		if c%7 == 0 {
-			istream := c%2 == 0
-			d.tel.CacheMiss(c, istream, 0x1000, 6)
-			d.tel.TBMiss(c, istream, 0x2000)
-			if istream {
+			switch c % 3 {
+			case 0:
+				st.IReadMisses++
+				st.ITBMisses++
 				d.want[4]++
 				d.want[6]++
-			} else {
+			case 1:
+				st.DReadMisses++
+				st.DTBMisses++
 				d.want[3]++
 				d.want[5]++
+			case 2:
+				st.PTEReadMisses++
+				d.want[3]++
 			}
 		}
 		if c%11 == 0 {
-			d.tel.Refill(c, 0x200, 1, false)
+			m.IB.Refs++
 			d.want[7]++
+		}
+		if c%13 == 0 {
+			m.Stats.Interrupts++
+			d.want[8]++
+		}
+		if c%17 == 0 {
+			m.Stats.CtxSwitches++
+			d.want[9]++
 		}
 		stalled := c%3 == 0
 		d.tel.Cycle(c, 0x10, stalled)
+		m.E.Now++
 		d.want[0]++
 		if stalled {
 			d.want[1]++
 		}
-		d.now++
 		d.hist = append(d.hist, d.want)
 	}
 }
@@ -94,17 +109,21 @@ func (d *driver) checkExact(t *testing.T, at string) {
 	}
 }
 
-func bound(tel *telemetry.Telemetry) *driver {
+// bind builds a fresh machine on tel, which machine.New binds.
+func bind(tel *telemetry.Telemetry) *machine.Machine {
 	mon := upc.New()
 	mon.Start()
-	tel.Bind(mon, &mem.Stats{})
-	return &driver{tel: tel}
+	return machine.New(machine.Config{Monitor: mon, Telemetry: tel}, workload.NewProgram())
 }
 
-// TestCountersPublishLag: the probe methods count privately and publish
-// every 4096 cycles, so a live reader lags by fewer than 4096 cycles and
-// never sees more than happened; Finish, Bind, a board command and
-// Absorb each publish everything counted so far.
+func bound(tel *telemetry.Telemetry) *driver {
+	return &driver{tel: tel, m: bind(tel)}
+}
+
+// TestCountersPublishLag: the live counters copy the bound machine's own
+// counters every 4096 cycles, so a live reader lags by fewer than 4096
+// cycles and never sees more than happened; Finish, Bind, a board
+// command and Absorb each publish everything counted so far.
 func TestCountersPublishLag(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{ROM: machine.ROM()})
 	d := bound(tel)
@@ -120,7 +139,7 @@ func TestCountersPublishLag(t *testing.T) {
 	d.checkExact(t, "Finish")
 
 	d.cycles(1000)
-	d.tel.Bind(upc.New(), &mem.Stats{})
+	d.m = bind(tel)
 	d.checkExact(t, "Bind")
 
 	d.cycles(1000)

@@ -12,6 +12,7 @@ import (
 	"io"
 
 	"vax780/internal/analysis"
+	"vax780/internal/machine"
 	"vax780/internal/mem"
 	"vax780/internal/upc"
 )
@@ -23,11 +24,11 @@ type Interval struct {
 	EndCycle   uint64 // exclusive
 	Hist       *upc.Histogram
 	Stats      mem.Stats
-	Instrs     uint64 // decode events in the interval
+	Instrs     uint64 // instructions retired in the interval
 }
 
-// Recorder snapshots the bound monitor and memory counters on a fixed
-// cycle period. It lives entirely on the simulation goroutine; the
+// Recorder snapshots the bound machine's monitor and counters on a
+// fixed cycle period. It lives entirely on the simulation goroutine; the
 // recorded series is read after the run (or through published board
 // snapshots while it executes).
 type Recorder struct {
@@ -35,8 +36,8 @@ type Recorder struct {
 	nextAt uint64
 	start  uint64 // current interval start (absolute cycle)
 
-	mon   *upc.Monitor
-	stats *mem.Stats
+	m   *machine.Machine
+	mon *upc.Monitor // m.Mon (nil: nothing to record)
 
 	prevHist   *upc.Histogram
 	prevStats  mem.Stats
@@ -51,11 +52,11 @@ func newRecorder(period uint64) *Recorder {
 
 // rebind points the recorder at a fresh machine's monitor and counters;
 // the previous machine's partial interval must already be flushed.
-func (r *Recorder) rebind(mon *upc.Monitor, stats *mem.Stats, abs uint64) {
-	r.mon = mon
-	r.stats = stats
+func (r *Recorder) rebind(m *machine.Machine, abs uint64) {
+	r.m, r.mon = m, m.Mon
 	r.prevHist = &upc.Histogram{}
 	r.prevStats = mem.Stats{}
+	r.prevInstrs = 0
 	r.start = abs
 	r.nextAt = abs + r.period
 }
@@ -100,11 +101,11 @@ func (r *Recorder) roll(t *Telemetry, end uint64) {
 
 	// Stats delta: subtract the previous snapshot from a copy of the
 	// live counters (Stats.Add is the inverse used when compositing).
-	st := *r.stats
+	st := r.m.Mem.Stats
 	st.Sub(&r.prevStats)
 
 	t.PublishCounts()
-	instrs := t.C.Instrs.Load()
+	instrs := r.m.Stats.Instrs
 	r.intervals = append(r.intervals, Interval{
 		StartCycle: r.start,
 		EndCycle:   end,
@@ -112,7 +113,7 @@ func (r *Recorder) roll(t *Telemetry, end uint64) {
 		Stats:      st,
 		Instrs:     instrs - r.prevInstrs,
 	})
-	r.prevStats = *r.stats
+	r.prevStats = r.m.Mem.Stats
 	r.prevInstrs = instrs
 	r.start = end
 	t.C.Intervals.Add(1)
@@ -182,7 +183,8 @@ type IntervalRow struct {
 
 	SimplePct float64 `json:"simple_pct"`
 
-	// Hardware event deltas.
+	// Hardware event deltas (D-stream cache misses include PTE reads,
+	// as the live counter and §4 count them).
 	CacheMissD uint64 `json:"cache_miss_d"`
 	CacheMissI uint64 `json:"cache_miss_i"`
 	TBMissD    uint64 `json:"tb_miss_d"`
@@ -219,7 +221,7 @@ func (t *Telemetry) Rows() []IntervalRow {
 			WriteStall:   d.WriteStall(),
 			IBStall:      d.IBStall(),
 			SimplePct:    d.SimplePct,
-			CacheMissD:   ivs[i].Stats.DReadMisses,
+			CacheMissD:   ivs[i].Stats.DReadMisses + ivs[i].Stats.PTEReadMisses,
 			CacheMissI:   ivs[i].Stats.IReadMisses,
 			TBMissD:      ivs[i].Stats.DTBMisses,
 			TBMissI:      ivs[i].Stats.ITBMisses,

@@ -119,7 +119,7 @@ func (t *Telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("vax780_cycles_total", "simulated 200ns EBOX cycles", t.C.Cycles.Load())
 	counter("vax780_stall_cycles_total", "read- and write-stalled cycles", t.C.StallCycles.Load())
-	counter("vax780_instructions_total", "decoded VAX instructions", t.C.Instrs.Load())
+	counter("vax780_instructions_total", "retired VAX instructions (one aborted by a machine check is not counted)", t.C.Instrs.Load())
 	fmt.Fprintf(w, "# HELP vax780_cache_miss_total cache read misses by stream\n"+
 		"# TYPE vax780_cache_miss_total counter\n"+
 		"vax780_cache_miss_total{stream=\"d\"} %d\n"+

@@ -2,9 +2,12 @@
 // VAX-11/780. The paper's measurement instrument was itself a passive
 // observer — a histogram board that attributed every 200 ns cycle to an
 // activity without perturbing the measured system (§2.2). This package
-// extends that discipline to the reproduction: a set of zero-allocation
-// event probes threaded through the machine, ebox, ibox, and mem layers
-// (nil-check fast path when disabled), feeding
+// extends that discipline to the reproduction. It binds to each machine
+// it observes and reads that machine's own counters — nothing here
+// counts a cache miss, refill or decode a second time — and a handful
+// of zero-allocation event probes threaded through the machine, ebox
+// and ibox layers (nil-check fast path when disabled) give it a
+// timeline. Together they feed
 //
 //   - live atomic counters, exported as Prometheus text and expvar;
 //   - an interval recorder that snapshots the UPC histogram and memory
@@ -19,18 +22,18 @@
 // All hook methods are called from the single simulation goroutine; the
 // HTTP side reads only atomics and immutable published snapshots, so a
 // live run can be watched concurrently without locks on the hot path.
-// The hooks themselves touch no atomics per event: they count into
-// fields private to the simulation goroutine, which are published into
-// the live counters every 4096 cycles and at roll/Bind/Finish/board
-// commands (exact once Run returns), and a capped tracer stops being
-// called once its cap has dropped an event.
+// The hooks themselves touch no atomics per event: the simulation
+// goroutine copies the machines' counters into the live counters every
+// 4096 cycles and at roll/Bind/Finish/board commands (exact once Run
+// returns), and a capped tracer stops being called once its cap has
+// dropped an event.
 package telemetry
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"vax780/internal/mem"
+	"vax780/internal/machine"
 	"vax780/internal/runlog"
 	"vax780/internal/upc"
 	"vax780/internal/urom"
@@ -54,16 +57,16 @@ type Options struct {
 }
 
 // Counters are the live atomic event counters. They are safe to read
-// from any goroutine while a run executes. The per-event counts behind
-// them (cycles, stalls, decodes, refills, cache and TB misses) are kept
-// in private fields of the simulation goroutine and published every
-// 4096 cycles and at roll/Bind/Finish/board commands, so a live reader
-// lags by fewer than 4096 cycles; the counters are exact once Run
-// returns.
+// from any goroutine while a run executes. Apart from Cycles (the
+// timeline's end), StallCycles (counted by the Cycle hook) and
+// Intervals, each is the sum of the observed machines' own counters
+// (machine.RunStats, mem.Stats, IBox.Refs), published every 4096 cycles
+// and at roll/Bind/Finish/board commands, so a live reader lags by
+// fewer than 4096 cycles; the counters are exact once Run returns.
 type Counters struct {
 	Cycles      atomic.Uint64 // every EBOX cycle
 	StallCycles atomic.Uint64 // read- and write-stalled cycles
-	Instrs      atomic.Uint64 // instruction decode events
+	Instrs      atomic.Uint64 // instructions retired
 	CacheMissD  atomic.Uint64 // D-stream (incl. PTE) cache read misses
 	CacheMissI  atomic.Uint64 // I-stream cache read misses
 	TBMissD     atomic.Uint64 // D-stream translation-buffer misses
@@ -74,7 +77,7 @@ type Counters struct {
 	Intervals   atomic.Uint64 // interval records rolled
 }
 
-// CPI returns cycles per decoded instruction so far.
+// CPI returns cycles per retired instruction so far.
 func (c *Counters) CPI() float64 {
 	in := c.Instrs.Load()
 	if in == 0 {
@@ -84,18 +87,41 @@ func (c *Counters) CPI() float64 {
 }
 
 // publishPeriod is the absolute-cycle period at which Cycle publishes
-// the private per-event counts into Counters (a power of two: the test
-// is a mask on the cycle number).
+// the counts into Counters (a power of two: the test is a mask on the
+// cycle number).
 const publishPeriod = 4096
 
-// counts are the per-event counts not yet published into Counters.
-// Only the simulation goroutine touches them, so counting an event is a
-// plain increment, not a locked read-modify-write.
+// counts are the live counters a machine keeps itself.
 type counts struct {
-	cycles, stalls, instrs uint64
-	cacheMissD, cacheMissI uint64
-	tbMissD, tbMissI       uint64
-	refills                uint64
+	instrs, interrupts, ctxSwitches uint64
+	cacheMissD, cacheMissI          uint64
+	tbMissD, tbMissI                uint64
+	refills                         uint64
+}
+
+func countsOf(m *machine.Machine) counts {
+	st := &m.Mem.Stats
+	return counts{
+		instrs:      m.Stats.Instrs,
+		interrupts:  m.Stats.Interrupts,
+		ctxSwitches: m.Stats.CtxSwitches,
+		cacheMissD:  st.DReadMisses + st.PTEReadMisses,
+		cacheMissI:  st.IReadMisses,
+		tbMissD:     st.DTBMisses,
+		tbMissI:     st.ITBMisses,
+		refills:     m.IB.Refs,
+	}
+}
+
+func (n *counts) add(o counts) {
+	n.instrs += o.instrs
+	n.interrupts += o.interrupts
+	n.ctxSwitches += o.ctxSwitches
+	n.cacheMissD += o.cacheMissD
+	n.cacheMissI += o.cacheMissI
+	n.tbMissD += o.tbMissD
+	n.tbMissI += o.tbMissI
+	n.refills += o.refills
 }
 
 // Pending board-command bits (the Unibus CSR writes of the HTTP monitor,
@@ -112,12 +138,18 @@ const (
 	StatusSaturated
 )
 
-// Telemetry is the concrete event sink. It implements the probe
-// interfaces of the ebox, ibox, and mem packages, and receives
-// machine-level events (decode, interrupt, context switch) directly.
+// Telemetry is the concrete event sink. It implements machine.Telemetry:
+// the probe interfaces of the ebox and ibox packages, the machine-level
+// events (decode, interrupt, context switch) and Bind.
 type Telemetry struct {
 	C Counters
-	n counts // unpublished share of C (simulation goroutine only)
+
+	// m is the bound machine, done the counts of the machines observed
+	// before it, and stalls the stalled cycles seen by Cycle
+	// (simulation goroutine only).
+	m      *machine.Machine
+	done   counts
+	stalls uint64
 
 	rom *urom.ROM
 	rec *Recorder
@@ -129,10 +161,9 @@ type Telemetry struct {
 	offset uint64
 	maxAbs uint64 // one past the last observed absolute cycle
 
-	// mon/stats are the currently bound machine's monitor and hardware
-	// counters (simulation goroutine only).
-	mon   *upc.Monitor
-	stats *mem.Stats
+	// mon is the bound machine's monitor, the board the HTTP side
+	// controls (simulation goroutine only).
+	mon *upc.Monitor
 
 	cmd    atomic.Uint32                 // pending board commands
 	status atomic.Uint32                 // published CSR status bits
@@ -180,20 +211,28 @@ func New(opts Options) *Telemetry {
 // ROM returns the microprogram bound at construction (may be nil).
 func (t *Telemetry) ROM() *urom.ROM { return t.rom }
 
-// Bind attaches the next machine's UPC monitor and hardware counters.
-// A composite run calls Bind once per workload machine; the telemetry
-// timeline continues across binds. Any partial recorder interval of the
+// Bind attaches the next machine: its UPC monitor and its counters.
+// machine.New calls it once per machine; the telemetry timeline and
+// counters continue across binds. Any partial recorder interval of the
 // previous machine is closed first.
-func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) {
-	t.PublishCounts()
+func (t *Telemetry) Bind(m *machine.Machine) {
 	if t.rec != nil {
 		t.rec.flush(t, t.maxAbs)
-		t.rec.rebind(mon, stats, t.maxAbs)
+		t.rec.rebind(m, t.maxAbs)
 	}
+	t.unbind()
 	t.offset = t.maxAbs
-	t.mon = mon
-	t.stats = stats
+	t.m, t.mon = m, m.Mon
+	t.PublishCounts()
 	t.publishStatus()
+}
+
+// unbind folds the bound machine's counts into done and detaches it.
+func (t *Telemetry) unbind() {
+	if t.m != nil {
+		t.done.add(countsOf(t.m))
+		t.m = nil
+	}
 }
 
 // Phase marks a named phase boundary (one per workload experiment) on
@@ -226,26 +265,20 @@ func (t *Telemetry) NewChild() *Telemetry {
 	return c
 }
 
-// Absorb splices a child sink's observations onto this timeline:
-// counters are summed, recorder intervals are appended with their
-// cycles shifted by the parent's current end-of-timeline, and trace
-// events likewise. Called in workload order, the result is bit-exact
-// with a sequential run observing the same machines in that order.
-// The child must not be observing concurrently during the call.
+// Absorb splices a child sink's observations onto this timeline: the
+// child's machine totals fold into the counts, recorder intervals are
+// appended with their cycles shifted by the parent's current
+// end-of-timeline, and trace events likewise. The parent takes over the
+// child's last machine (and with it the board). Called in workload
+// order, the result is bit-exact with a sequential run observing the
+// same machines in that order. The child must not be observing
+// concurrently during the call.
 func (t *Telemetry) Absorb(c *Telemetry) {
 	c.Finish()
-	t.PublishCounts()
 	shift := t.maxAbs
-	t.C.Cycles.Add(c.C.Cycles.Load())
-	t.C.StallCycles.Add(c.C.StallCycles.Load())
-	t.C.Instrs.Add(c.C.Instrs.Load())
-	t.C.CacheMissD.Add(c.C.CacheMissD.Load())
-	t.C.CacheMissI.Add(c.C.CacheMissI.Load())
-	t.C.TBMissD.Add(c.C.TBMissD.Load())
-	t.C.TBMissI.Add(c.C.TBMissI.Load())
-	t.C.IBRefills.Add(c.C.IBRefills.Load())
-	t.C.Interrupts.Add(c.C.Interrupts.Load())
-	t.C.CtxSwitches.Add(c.C.CtxSwitches.Load())
+	t.unbind()
+	t.done.add(c.done)
+	t.stalls += c.stalls
 	t.C.Intervals.Add(c.C.Intervals.Load())
 	if t.rec != nil && c.rec != nil {
 		t.rec.absorb(c.rec, shift)
@@ -255,9 +288,9 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 	}
 	t.maxAbs = shift + c.maxAbs
 	t.offset = t.maxAbs
-	t.mon = c.mon
-	t.stats = c.stats
+	t.m, t.mon = c.m, c.mon
 	t.finished = false
+	t.PublishCounts()
 	t.publish(t.maxAbs)
 }
 
@@ -280,22 +313,27 @@ func (t *Telemetry) Finish() {
 	t.publishStatus()
 }
 
-// PublishCounts adds the private per-event counts into Counters. The
-// simulation goroutine calls it every publishPeriod cycles and at each
-// safe point (interval roll, Bind, Finish, Absorb, board command); a
-// run that fails calls it on the way out, so the counters are exact
-// whenever no machine is executing.
+// PublishCounts stores into Counters the counts of the machines already
+// observed plus the bound machine's own counters. The simulation
+// goroutine calls it every publishPeriod cycles and at each safe point
+// (interval roll, Bind, Finish, Absorb, board command); a run that
+// fails calls it on the way out, so the counters are exact whenever no
+// machine is executing.
 func (t *Telemetry) PublishCounts() {
-	n := &t.n
-	t.C.Cycles.Add(n.cycles)
-	t.C.StallCycles.Add(n.stalls)
-	t.C.Instrs.Add(n.instrs)
-	t.C.CacheMissD.Add(n.cacheMissD)
-	t.C.CacheMissI.Add(n.cacheMissI)
-	t.C.TBMissD.Add(n.tbMissD)
-	t.C.TBMissI.Add(n.tbMissI)
-	t.C.IBRefills.Add(n.refills)
-	*n = counts{}
+	n := t.done
+	if t.m != nil {
+		n.add(countsOf(t.m))
+	}
+	t.C.Cycles.Store(t.maxAbs)
+	t.C.StallCycles.Store(t.stalls)
+	t.C.Instrs.Store(n.instrs)
+	t.C.CacheMissD.Store(n.cacheMissD)
+	t.C.CacheMissI.Store(n.cacheMissI)
+	t.C.TBMissD.Store(n.tbMissD)
+	t.C.TBMissI.Store(n.tbMissI)
+	t.C.IBRefills.Store(n.refills)
+	t.C.Interrupts.Store(n.interrupts)
+	t.C.CtxSwitches.Store(n.ctxSwitches)
 }
 
 // tracing returns the tracer while it still retains events. Truncation
@@ -316,9 +354,8 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	abs := now + t.offset
 	t.maxAbs = abs + 1
 	t.finished = false
-	t.n.cycles++
 	if stalled {
-		t.n.stalls++
+		t.stalls++
 	}
 	if abs&(publishPeriod-1) == publishPeriod-1 {
 		t.PublishCounts()
@@ -335,51 +372,33 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 }
 
 // TBMiss observes a translation-buffer miss (shared by the ebox and
-// ibox probes: the D-stream microtrap and the I-stream miss flag).
+// ibox probes: the D-stream microtrap and the I-stream miss flag) for
+// the trace; the count is the machine's own mem.Stats.
 func (t *Telemetry) TBMiss(now uint64, istream bool, va uint32) {
-	if istream {
-		t.n.tbMissI++
-	} else {
-		t.n.tbMissD++
-	}
 	if tr := t.tracing(); tr != nil {
 		tr.tbMiss(now+t.offset, istream, va)
 	}
 }
 
-// CacheMiss observes a cache read miss. Implements the mem Probe.
-func (t *Telemetry) CacheMiss(now uint64, istream bool, pa uint32, stall int) {
-	if istream {
-		t.n.cacheMissI++
-	} else {
-		t.n.cacheMissD++
-	}
-}
-
-// Refill observes an IB refill reference. Implements the ibox Probe.
-func (t *Telemetry) Refill(now uint64, va uint32, latency int, miss bool) {
-	t.n.refills++
-}
-
-// Instr observes an instruction decode (machine-level event).
+// Instr observes an instruction decode (machine-level event) for the
+// trace; the count is the machine's retired-instruction counter.
 func (t *Telemetry) Instr(now uint64, pc uint32, op vax.Opcode) {
-	t.n.instrs++
 	if tr := t.tracing(); tr != nil {
 		tr.instr(now+t.offset, pc, op)
 	}
 }
 
-// Interrupt observes an interrupt delivery (machine-level event).
+// Interrupt observes an interrupt delivery (machine-level event) for
+// the trace.
 func (t *Telemetry) Interrupt(now uint64, handler uint32) {
-	t.C.Interrupts.Add(1)
 	if tr := t.tracing(); tr != nil {
 		tr.interrupt(now+t.offset, handler)
 	}
 }
 
-// CtxSwitch observes a context switch (machine-level event).
+// CtxSwitch observes a context switch (machine-level event) for the
+// trace.
 func (t *Telemetry) CtxSwitch(now uint64, from, to uint32) {
-	t.C.CtxSwitches.Add(1)
 	if tr := t.tracing(); tr != nil {
 		tr.ctxSwitch(now+t.offset, from, to)
 	}
@@ -481,20 +500,21 @@ func (t *Telemetry) Recorder() *Recorder { return t.rec }
 func (t *Telemetry) Tracer() *Tracer { return t.tr }
 
 // DescribeProbes renders the probe-point map of the telemetry layer:
-// which package emits which event, and what each feeds.
+// which package emits which event, what each feeds, and where the live
+// counters come from.
 func DescribeProbes() string {
 	return `telemetry probe points (all zero-allocation, nil-checked when detached):
+  machine.New        -> Bind(machine)              attach the machine: its board and its own counters
   ebox.tick          -> Cycle(now, uPC, stalled)   every 200 ns EBOX cycle (the UPC tap)
-  ebox.doMem         -> TBMiss(now, d-stream, va)  TB-miss microtrap entry
-  ibox.Tick          -> TBMiss(now, i-stream, va)  I-stream miss flag raised
-  ibox.Tick          -> Refill(now, va, latency)   IB refill reference issued
-  mem.DRead/PTERead  -> CacheMiss(now, d, pa)      D-stream cache read miss
-  mem.IRead          -> CacheMiss(now, i, pa)      I-stream cache read miss
-  machine.runInstr   -> Instr(now, pc, opcode)     instruction decode event
-  machine.deliverInterrupt -> Interrupt(now, pc)   interrupt delivery
-  machine LDPCTX     -> CtxSwitch(now, from, to)   context switch
+  ebox.doMem         -> TBMiss(now, d-stream, va)  TB-miss microtrap entry (trace)
+  ibox.Tick          -> TBMiss(now, i-stream, va)  I-stream miss flag raised (trace)
+  machine.runInstr   -> Instr(now, pc, opcode)     instruction decode event (trace)
+  machine.deliverInterrupt -> Interrupt(now, pc)   interrupt delivery (trace)
+  machine LDPCTX     -> CtxSwitch(now, from, to)   context switch (trace)
 consumers:
   Counters           live atomics, published every 4096 cycles and at safe points: /metrics, expvar
+                     cycles = timeline end; stalls counted by Cycle; the rest are the bound
+                     machine's own counters (RunStats, mem.Stats, IBox.Refs) plus its predecessors'
   Recorder           per-N-cycle UPC+mem snapshots -> interval CPI series (CSV/JSON)
   Tracer             Chrome trace_event JSON (chrome://tracing, Perfetto)
   board registers    /board/{start,stop,clear,read,csr} (Unibus CSR mirror)`

@@ -1,6 +1,5 @@
 // External test package: the telemetry layer is exercised through real
-// machine runs (machine imports only the probe interfaces, so this
-// direction is cycle-free).
+// machine runs, and through vax780.Run, which imports this package.
 package telemetry_test
 
 import (
@@ -13,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"vax780"
 	"vax780/internal/machine"
 	"vax780/internal/mem"
 	"vax780/internal/telemetry"
@@ -24,17 +24,24 @@ import (
 // given telemetry layer attached and returns the machine and monitor.
 func runInstrumented(t *testing.T, tel *telemetry.Telemetry, instrs int) (*machine.Machine, *upc.Monitor) {
 	t.Helper()
-	tr, err := workload.Generate(workload.TimesharingA(instrs))
+	return runProfile(t, tel, workload.TimesharingA(instrs))
+}
+
+// runProfile executes one workload profile on a stock machine, with tel
+// attached when it is non-nil.
+func runProfile(t *testing.T, tel *telemetry.Telemetry, p workload.Profile) (*machine.Machine, *upc.Monitor) {
+	t.Helper()
+	tr, err := workload.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mon := upc.New()
 	mon.Start()
-	m := machine.New(machine.Config{
-		Mem:       mem.Config{},
-		Monitor:   mon,
-		Telemetry: tel,
-	}, tr.Program)
+	cfg := machine.Config{Mem: mem.Config{}, Monitor: mon}
+	if tel != nil {
+		cfg.Telemetry = tel // never box a nil *Telemetry
+	}
+	m := machine.New(cfg, tr.Program)
 	if err := m.Run(tr.Stream()); err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +85,43 @@ func TestCountersMatchMachine(t *testing.T) {
 	}
 	if cpi := c.CPI(); cpi < 1 || cpi > 100 {
 		t.Errorf("CPI = %g, implausible", cpi)
+	}
+	if got, want := c.CtxSwitches.Load(), m.Stats.CtxSwitches; got != want || want == 0 {
+		t.Errorf("CtxSwitches = %d, want machine's %d (nonzero)", got, want)
+	}
+
+	// Several workloads at -j 2 through vax780.Run: the live counters
+	// equal the sums over the same stock machines run one by one.
+	const n = 3000
+	ids := []vax780.WorkloadID{vax780.TimesharingA, vax780.RTEScientific, vax780.RTECommercial}
+	profiles := []workload.Profile{workload.TimesharingA(n), workload.RTEScientific(n), workload.RTECommercial(n)}
+	live := vax780.NewTelemetry(0, 0)
+	if _, err := vax780.Run(vax780.RunConfig{
+		Instructions: n,
+		Workloads:    ids,
+		Parallelism:  2,
+		Telemetry:    live,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want vax780.TelemetryCounters
+	for _, p := range profiles {
+		m, _ := runProfile(t, nil, p)
+		st := m.Mem.Stats
+		want.Cycles += m.E.Now
+		want.StallCycles += st.ReadStall + st.WriteStall
+		want.Instrs += m.Stats.Instrs
+		want.CacheMissD += st.DReadMisses + st.PTEReadMisses
+		want.CacheMissI += st.IReadMisses
+		want.TBMissD += st.DTBMisses
+		want.TBMissI += st.ITBMisses
+		want.IBRefills += m.IB.Refs
+		want.Interrupts += m.Stats.Interrupts
+		want.CtxSwitches += m.Stats.CtxSwitches
+	}
+	want.CPI = float64(want.Cycles) / float64(want.Instrs)
+	if got := live.Counters(); got != want {
+		t.Errorf("-j 2 counters:\n got %+v\nwant %+v (summed machines)", got, want)
 	}
 }
 
@@ -170,7 +214,7 @@ func TestRowsAndExports(t *testing.T) {
 		t.Errorf("row cycle sum = %d, machine ran %d", cycles, m.E.Now)
 	}
 	// The histogram counts instructions at the IRD microinstruction; the
-	// machine counts decode events — identical on an unperturbed run.
+	// machine counts retirements — identical on an unperturbed run.
 	if instrs != m.Stats.Instrs {
 		t.Errorf("row instruction sum = %d, machine ran %d", instrs, m.Stats.Instrs)
 	}
@@ -296,8 +340,7 @@ func TestBoardCommands(t *testing.T) {
 
 	mon := upc.New()
 	mon.Start()
-	var st mem.Stats
-	tel.Bind(mon, &st)
+	machine.New(machine.Config{Monitor: mon, Telemetry: tel}, workload.NewProgram())
 
 	// A pending stop is applied at the next simulated cycle, not
 	// immediately — the Unibus write semantics.

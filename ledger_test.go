@@ -224,7 +224,7 @@ func TestProgressCallback(t *testing.T) {
 	res, err := Run(RunConfig{
 		Instructions:     2000,
 		Workloads:        []WorkloadID{TimesharingA, RTEEducational},
-		ProgressInterval: 10 * time.Millisecond,
+		progressInterval: 10 * time.Millisecond,
 		Progress: func(p Progress) {
 			mu.Lock()
 			snaps = append(snaps, p)
@@ -319,7 +319,7 @@ func TestSweepProgress(t *testing.T) {
 	got := false
 	res := Sweep(points, SweepOptions{
 		Parallelism:      2,
-		ProgressInterval: 10 * time.Millisecond,
+		progressInterval: 10 * time.Millisecond,
 		Progress: func(p Progress) {
 			mu.Lock()
 			last, got = p, true

@@ -59,8 +59,9 @@ type SweepOptions struct {
 	// whole sweep's instruction budget.
 	Progress func(Progress)
 
-	// ProgressInterval is the snapshot period (default 1s, minimum 10ms).
-	ProgressInterval time.Duration
+	// progressInterval is a test seam: the Progress snapshot period (0
+	// means the tracker's 1s default).
+	progressInterval time.Duration
 }
 
 // observed reports whether the sweep carries an observability consumer.
@@ -125,7 +126,7 @@ func SweepContext(ctx context.Context, points []SweepPoint, opt SweepOptions) []
 		for _, pt := range points {
 			fl.totalInstrs += pointInstrBudget(pt)
 		}
-		tracker = runlog.NewTracker(opt.ProgressInterval, fl.sample, opt.Progress)
+		tracker = runlog.NewTracker(opt.progressInterval, fl.sample, opt.Progress)
 		tracker.Attach(led)
 		tracker.Start()
 	}

@@ -241,10 +241,10 @@ func TestTraceCapIsPrefix(t *testing.T) {
 
 // TestLiveCountersMonotonic: a reader polling the live counters during
 // a run sees them only grow, and once Run returns they equal the
-// composite histogram's totals. Sequentially the hooks publish their
-// private counts as the machine runs; in parallel the workloads'
-// children are absorbed at merge. Run under -race it also proves the
-// private counts never race with the reader.
+// composite histogram's totals. Sequentially the live counters copy
+// the running machine's own counters as it runs; in parallel the
+// workloads' children are absorbed at merge. Run under -race it also
+// proves the copies never race with the reader.
 func TestLiveCountersMonotonic(t *testing.T) {
 	for _, j := range []int{1, 2} {
 		tel := NewTelemetry(1500, 0)
@@ -314,6 +314,36 @@ func TestLiveCountersExactAfterFailedRun(t *testing.T) {
 	}
 	if got, want := halted.Counters(), solo.Counters(); got != want {
 		t.Errorf("counters after the failed run:\n%+v\nwant the one workload's\n%+v", got, want)
+	}
+}
+
+// TestIntervalRowsSumToLiveCounters: the interval series' four miss
+// columns add up to the live counters at -j 1 and -j 2 (the D-stream
+// column counts PTE read misses, as the live counter and §4 do).
+func TestIntervalRowsSumToLiveCounters(t *testing.T) {
+	for _, j := range []int{1, 2} {
+		tel := NewTelemetry(5000, 0)
+		if _, err := Run(RunConfig{
+			Instructions: 4000,
+			Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
+			Parallelism:  j,
+			Telemetry:    tel,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var missD, missI, tbD, tbI uint64
+		for _, r := range tel.IntervalRows() {
+			missD += r.CacheMissD
+			missI += r.CacheMissI
+			tbD += r.TBMissD
+			tbI += r.TBMissI
+		}
+		c := tel.Counters()
+		got := [4]uint64{missD, missI, tbD, tbI}
+		want := [4]uint64{c.CacheMissD, c.CacheMissI, c.TBMissD, c.TBMissI}
+		if got != want {
+			t.Errorf("-j %d: row sums (cache d, cache i, tb d, tb i) = %v, live counters %v", j, got, want)
+		}
 	}
 }
 

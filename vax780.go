@@ -171,11 +171,6 @@ type RunConfig struct {
 	// tracker's goroutine; it must not block for long.
 	Progress func(Progress)
 
-	// ProgressInterval is the snapshot period (default 1s, minimum
-	// 10ms). It has no effect on the simulation — progress sampling
-	// reads lock-free cells the machines update per trace item.
-	ProgressInterval time.Duration
-
 	// FlightDepth controls the micro-PC flight recorder, the ring of the
 	// last N cycles the EBOX keeps for post-mortems: 0 (the default)
 	// enables it at upc.DefaultFlightDepth when a fault plan is
@@ -234,6 +229,10 @@ type RunConfig struct {
 	// have completed and checkpointed — a deterministic stand-in for a
 	// measurement host killed mid-composite.
 	haltAfter int
+
+	// progressInterval is a test seam: the Progress snapshot period
+	// (0 means the tracker's 1s default).
+	progressInterval time.Duration
 
 	// traces, when non-nil, substitutes generation with a shared
 	// read-only trace cache (set by Sweep: design points that share a
@@ -539,7 +538,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 		for _, rec := range s.recs {
 			s.fleet.noteDone(rec.Instrs, rec.Cycles)
 		}
-		s.tracker = runlog.NewTracker(cfg.ProgressInterval, s.fleet.sample, cfg.Progress)
+		s.tracker = runlog.NewTracker(cfg.progressInterval, s.fleet.sample, cfg.Progress)
 		s.tracker.Attach(s.led)
 		if s.tel != nil {
 			s.tel.SetEvents(s.led.Bus())
